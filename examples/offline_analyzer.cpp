@@ -23,8 +23,9 @@
 // --window=<records> runs the windowed streaming detector scan
 // (docs/windowed-analysis.md): bounded resident overlay, byte-identical
 // report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
-// even under memory pressure.  The stats block (stderr) reports the
-// process peak RSS and the window overlay's high-water mark.
+// even under memory pressure.  The stats block (stderr; one JSON line
+// under --json, same fields) reports phase timings, checkpoint saves,
+// the process peak RSS and the window overlay's high-water mark.
 // Damaged dumps are salvaged by default (--strict insists on a pristine
 // file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
 // degradation ladder (docs/robustness.md).
@@ -314,6 +315,16 @@ int main(int argc, char **argv) {
     AnalysisOptions AOpt(Options);
     AOpt.Checkpoint = Ckpt;
     AnalysisResult R = analyzeTrace(T, AOpt);
+    if (ChaosKillAfterSave) {
+      // The watcher lost the race: the analysis saved and retired its
+      // snapshot between two polls, or finished before the cadence's
+      // first save.  Keep the hook's contract regardless -- leave a
+      // snapshot behind with a deadline-cut rerun, then die.
+      AnalysisOptions CutOpt = AOpt;
+      CutOpt.Detector.DeadlineMillis = 1e-6;
+      analyzeTrace(T, CutOpt);
+      ::kill(::getpid(), SIGKILL);
+    }
     const ResumeOutcome &Res = R.Resume;
     if (Res.Attempted) {
       if (Res.Resumed)
@@ -376,6 +387,11 @@ int main(int argc, char **argv) {
                    R.ExtractMillis, R.HbBuildMillis,
                    R.HbStats.FixpointRounds, R.DetectMillis);
       std::fprintf(stderr,
+                   "checkpoints: %u saved, %llu bytes, %.1f ms\n",
+                   R.CheckpointSaves,
+                   static_cast<unsigned long long>(R.CheckpointBytes),
+                   R.CheckpointMillis);
+      std::fprintf(stderr,
                    "memory: peak rss %llu bytes, happens-before %zu bytes",
                    PeakRssBytes, R.HbMemoryBytes);
       if (R.WindowEventsUsed)
@@ -389,18 +405,27 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "\n\n");
     } else {
       // One machine-readable stats line on stderr; stdout stays the
-      // report alone so byte-compare harnesses are unaffected.
+      // report alone so byte-compare harnesses are unaffected.  Same
+      // fields as the text block.  "chains" is the windowed frontier's
+      // width when the window ran, else the chain oracle's.
+      size_t Chains = R.WindowEventsUsed ? R.WindowedDetect.Chains
+                                         : R.Degradation.ChainCount;
       std::fprintf(stderr,
-                   "{\"stats\":{\"peak_rss_bytes\":%llu,"
+                   "{\"stats\":{\"extract_ms\":%.1f,\"hb_ms\":%.1f,"
+                   "\"detect_ms\":%.1f,\"rounds\":%u,"
+                   "\"checkpoint_saves\":%u,\"checkpoint_bytes\":%llu,"
+                   "\"checkpoint_ms\":%.1f,\"peak_rss_bytes\":%llu,"
                    "\"hb_bytes\":%zu,\"window_events\":%llu,"
                    "\"overlay_high_water_bytes\":%zu,"
-                   "\"reach_high_water_rows\":%zu,\"chains\":%u,"
+                   "\"reach_high_water_rows\":%zu,\"chains\":%zu,"
                    "\"retained_high_water_bytes\":%zu}}\n",
-                   PeakRssBytes, R.HbMemoryBytes,
+                   R.ExtractMillis, R.HbBuildMillis, R.DetectMillis,
+                   R.HbStats.FixpointRounds, R.CheckpointSaves,
+                   static_cast<unsigned long long>(R.CheckpointBytes),
+                   R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,
                    static_cast<unsigned long long>(R.WindowEventsUsed),
                    R.WindowedDetect.OverlayHighWaterBytes,
-                   R.WindowedDetect.ReachHighWaterRows,
-                   R.WindowedDetect.Chains,
+                   R.WindowedDetect.ReachHighWaterRows, Chains,
                    R.WindowedDetect.RetainedHighWaterBytes);
     }
     RaceDocument Doc = buildRaceDocument(R.Report, T);

@@ -73,11 +73,18 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     Digest = detectorOptionsDigest(Options, Resolver != nullptr);
   }
   bool WroteSnapshot = false;
-  auto RecordSaveError = [&](const Status &S) {
-    if (S.ok())
+  auto Save = [&](const AnalysisSnapshot &Out) {
+    Timer SaveTimer;
+    uint64_t Bytes = 0;
+    Status S = saveAnalysisSnapshot(Out, Path, &Bytes);
+    Result.CheckpointMillis += SaveTimer.elapsedWallMillis();
+    if (S.ok()) {
       WroteSnapshot = true;
-    else if (RO.SaveError.empty())
+      ++Result.CheckpointSaves;
+      Result.CheckpointBytes += Bytes;
+    } else if (RO.SaveError.empty()) {
       RO.SaveError = S.message();
+    }
   };
   auto StampIdentity = [&](AnalysisSnapshot &Out) {
     Out.TraceFingerprint = Fp;
@@ -118,7 +125,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
       StampIdentity(Out);
       Out.Phase = SnapshotPhase::HbFixpoint;
       Out.Hb = F;
-      RecordSaveError(saveAnalysisSnapshot(Out, Path));
+      Save(Out);
     };
   }
   if (HaveSnap) {
@@ -187,7 +194,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
         Out.Hb = HbFinal;
         Out.HasWindowedDetect = true;
         Out.WindowedDetect = F;
-        RecordSaveError(saveAnalysisSnapshot(Out, Path));
+        Save(Out);
       };
       if (HaveSnap && Snap.Phase == SnapshotPhase::Detect &&
           Snap.HasWindowedDetect && Snap.Hb.Saturated)
@@ -203,7 +210,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
         Out.Hb = HbFinal;
         Out.HasDetect = true;
         Out.Detect = F;
-        RecordSaveError(saveAnalysisSnapshot(Out, Path));
+        Save(Out);
       };
       if (HaveSnap && Snap.Phase == SnapshotPhase::Detect && Snap.HasDetect &&
           Snap.Hb.Saturated)
@@ -262,7 +269,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
       Out.PartialRaces.push_back({Race.Use.Method.value(), Race.Use.Pc,
                                   Race.Free.Method.value(), Race.Free.Pc,
                                   renderRaceLine(Race, T)});
-    RecordSaveError(saveAnalysisSnapshot(Out, Path));
+    Save(Out);
   } else {
     // Complete run: diff against the partial baseline (if the snapshot
     // carried one), then retire the snapshot -- a stale file must not

@@ -42,6 +42,11 @@ struct AnalysisResult {
   double ExtractMillis = 0;
   double HbBuildMillis = 0;
   double DetectMillis = 0;
+  /// Checkpoint activity: snapshots written, their total size on disk,
+  /// and the wall time spent writing them (0 with checkpoints off).
+  uint32_t CheckpointSaves = 0;
+  uint64_t CheckpointBytes = 0;
+  double CheckpointMillis = 0;
   /// Approximate happens-before memory (graph + reachability oracle).
   size_t HbMemoryBytes = 0;
   /// What the graceful-degradation ladder did to the primary

@@ -18,14 +18,14 @@ namespace {
 /// answers from silently mis-decoded state are the one unacceptable
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
-constexpr uint32_t SnapshotVersion = 4; // v4: windowed detect frontier
+// v5: the HB frontier carries edges and cursors only, no oracle state.
+constexpr uint32_t SnapshotVersion = 5;
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
 /// real traces stay orders of magnitude below these.
 constexpr uint64_t MaxEdges = uint64_t(1) << 32;
 constexpr uint64_t MaxCursors = uint64_t(1) << 28;
-constexpr uint64_t MaxRowWords = uint64_t(1) << 32;
 constexpr uint64_t MaxRaces = uint64_t(1) << 24;
 constexpr uint64_t MaxSurvivors = uint64_t(1) << 28;
 constexpr uint32_t MaxRules = 16;
@@ -88,11 +88,6 @@ void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
   }
   putCursors(W, F.AtomCursors);
   putCursors(W, F.SendCursors);
-  W.u64(F.RowWords);
-  W.u64(F.ClosureRows.size());
-  W.u64s(F.ClosureRows.data(), F.ClosureRows.size());
-  W.u64(F.ChainState.size());
-  W.u64s(F.ChainState.data(), F.ChainState.size());
   W.u32(static_cast<uint32_t>(F.UnsaturatedRules.size()));
   for (const std::string &Rule : F.UnsaturatedRules)
     W.str(Rule);
@@ -120,19 +115,6 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
     E.To = NodeId(To);
   }
   if (!getCursors(R, F.AtomCursors) || !getCursors(R, F.SendCursors))
-    return false;
-  uint64_t RowWords, NumWords;
-  if (!R.u64(RowWords) || !R.u64(NumWords) || NumWords > MaxRowWords)
-    return false;
-  F.RowWords = RowWords;
-  F.ClosureRows.resize(NumWords);
-  if (!R.u64s(F.ClosureRows.data(), NumWords))
-    return false;
-  uint64_t NumChainWords;
-  if (!R.u64(NumChainWords) || NumChainWords > MaxRowWords)
-    return false;
-  F.ChainState.resize(NumChainWords);
-  if (!R.u64s(F.ChainState.data(), NumChainWords))
     return false;
   uint32_t NumRules;
   if (!R.u32(NumRules) || NumRules > MaxRules)
@@ -282,7 +264,8 @@ std::string cafa::checkpointPath(const std::string &Directory) {
 }
 
 Status cafa::saveAnalysisSnapshot(const AnalysisSnapshot &Snap,
-                                  const std::string &Path) {
+                                  const std::string &Path,
+                                  uint64_t *FileBytes) {
   SnapshotWriter W;
   W.u64(Snap.TraceFingerprint);
   W.u64(Snap.NumRecords);
@@ -306,7 +289,7 @@ Status cafa::saveAnalysisSnapshot(const AnalysisSnapshot &Snap,
       W.str(K.Label);
     }
   }
-  return W.writeFileAtomic(Path, SnapshotMagic, SnapshotVersion);
+  return W.writeFileAtomic(Path, SnapshotMagic, SnapshotVersion, FileBytes);
 }
 
 Status cafa::loadAnalysisSnapshot(AnalysisSnapshot &Snap,

@@ -155,9 +155,11 @@ std::string checkpointPath(const std::string &Directory);
 
 /// Serializes \p Snap into \p Path atomically (temp file + fsync +
 /// rename).  A crash mid-save leaves either the previous snapshot or
-/// none -- never a torn file.
+/// none -- never a torn file.  On success \p FileBytes, when set,
+/// receives the size of the written file.
 Status saveAnalysisSnapshot(const AnalysisSnapshot &Snap,
-                            const std::string &Path);
+                            const std::string &Path,
+                            uint64_t *FileBytes = nullptr);
 
 /// Loads and validates the file framing (magic, version, checksum) and
 /// payload structure of \p Path into \p Snap.  Trace/options validation

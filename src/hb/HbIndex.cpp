@@ -867,27 +867,26 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // oracles answer reachability queries identically, so a downgrade
   // changes build time and memory but keeps every downstream report
   // bit-identical.  BFS keeps no precomputed state and is the
-  // always-accepted floor.  A resume with attached closure rows imports
-  // them instead of recomputing the O(N^2/64) sweep.
+  // always-accepted floor.  A resume builds its oracle the same way,
+  // over the replayed graph.
   ReachMode Mode = resolveReachMode(Options.Reach);
   Degrade.RequestedReach = Mode;
+  // N rows of ceil(N/64) words: a strict lower bound on what a closure
+  // rung's budgeted build counts, so a budget below it cannot fit and
+  // the rung is stepped past without allocating a probe.
+  size_t N = Graph->numNodes();
+  size_t RowFloorBytes = N * ((N + 63) / 64) * 8;
   for (;;) {
-    Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes,
-                             /*Defer=*/true);
-    Reach->setWorkerPool(Pool.get());
-    bool Ready = false;
-    if (R && !R->ClosureRows.empty())
-      Ready = Reach->importClosureRows(R->ClosureRows.data(),
-                                       R->ClosureRows.size(), R->RowWords);
-    if (!Ready && R && !R->ChainState.empty())
-      Ready = Reach->importChainState(R->ChainState.data(),
-                                      R->ChainState.size());
-    if (!Ready && !Reach->budgetExceeded()) {
-      Reach->refresh();
-      Ready = !Reach->budgetExceeded();
+    bool CannotFit =
+        (Mode == ReachMode::Incremental || Mode == ReachMode::Closure) &&
+        Options.MemLimitBytes && RowFloorBytes > Options.MemLimitBytes;
+    if (!CannotFit) {
+      ++Degrade.ProbedRungs;
+      Reach =
+          makeReachability(*Graph, Mode, Options.MemLimitBytes, Pool.get());
+      if (!Reach->budgetExceeded() || Mode == ReachMode::Bfs)
+        break;
     }
-    if (Ready || Mode == ReachMode::Bfs)
-      break;
     Mode = Mode == ReachMode::Incremental ? ReachMode::Closure
            : Mode == ReachMode::Closure   ? ReachMode::Chain
                                           : ReachMode::Bfs;
@@ -977,8 +976,9 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       Gained = Reach->gainedWords();
       Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
                                Delta.end());
-      // Cadence checkpoint: the oracle now reflects every inserted edge,
-      // so this round boundary is a consistent freeze point.
+      // Cadence checkpoint: a round boundary is a consistent freeze
+      // point, and the frontier is edges and cursors only -- cheap to
+      // copy at any cadence.
       if (Checkpoint && Checkpoint->Save && Checkpoint->EveryMillis > 0 &&
           Ms(TGraph, Now()) - LastSaveMs >= Checkpoint->EveryMillis) {
         LastSaveMs = Ms(TGraph, Now());
@@ -1021,27 +1021,6 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
 }
 
 HbIndex::~HbIndex() = default;
-
-HbFrontier HbIndex::exportFrontier() const {
-  // Above this, serializing the row matrix costs more than the refresh()
-  // it would save on resume; the frontier then carries only edges and
-  // cursors.
-  constexpr size_t MaxRowBlobBytes = size_t(256) << 20;
-  HbFrontier F = Kept;
-  std::vector<uint64_t> Words;
-  size_t WordsPerRow = 0;
-  if (Reach->exportClosureRows(Words, WordsPerRow) &&
-      Words.size() * 8 <= MaxRowBlobBytes) {
-    F.ClosureRows = std::move(Words);
-    F.RowWords = WordsPerRow;
-  } else if (Words.clear(), Reach->exportChainState(Words) &&
-                                Words.size() * 8 <= MaxRowBlobBytes) {
-    // Chain rung: the decomposition + clock matrix plays the closure
-    // rows' role (and is far smaller -- O(N * chains) words).
-    F.ChainState = std::move(Words);
-  }
-  return F;
-}
 
 bool HbIndex::happensBefore(uint32_t A, uint32_t B) const {
   if (A == B)

@@ -116,6 +116,10 @@ struct HbDegradation {
   /// number MemLimitBytes was actually compared against -- not the
   /// estimateReachabilityMemory() over-approximation.
   size_t MeasuredReachBytes = 0;
+  /// Oracle builds the memory rung started, the kept one included.  A
+  /// closure rung whose row matrix alone cannot fit MemLimitBytes is
+  /// stepped past without a build and is not counted.
+  uint32_t ProbedRungs = 0;
   /// Chains in the oracle's final decomposition (0 unless UsedReach is
   /// Chain).  Informational, for the scaling benches' chain statistics.
   size_t ChainCount = 0;
@@ -159,19 +163,22 @@ struct HbScanCursor {
 /// boundary and restore it in another process.  Rounds are never cut
 /// mid-scan (the deadline is checked before each round and the per-round
 /// edge cap only moves the scan cursors), so a round boundary is always
-/// a consistent frontier: the graph holds base + DerivedEdges, the
-/// cursors say which pairs were already evaluated, and the closure rows
-/// (when attached) mirror exactly those edges.
+/// a consistent frontier: the graph holds base + DerivedEdges and the
+/// cursors say which pairs were already evaluated.
 ///
-/// Resuming replays DerivedEdges onto a freshly built base graph,
+/// The frontier carries the derivation only, never oracle state: the
+/// reachability oracle (closure rows or chain clocks) is a pure function
+/// of the graph's edges, so resuming replays DerivedEdges onto a freshly
+/// built base graph, rebuilds the oracle through the normal ladder,
 /// restores the cursors, and continues the fixpoint.  The closure is the
 /// unique least fixpoint of monotone rules and the scans are
 /// deterministic, so the resumed run converges to the same relation --
-/// and therefore the same reports -- as an uninterrupted one.
+/// and therefore the same reports -- as an uninterrupted one, under any
+/// oracle.
 struct HbFrontier {
-  /// Oracle in use when the frontier was taken.  Informational: closure
-  /// rows are mode-independent, so a resume may import them into a
-  /// different closure-based rung.
+  /// Oracle in use when the frontier was taken.  Informational: a resume
+  /// rebuilds its own oracle from the replayed edges, under whatever
+  /// mode it was asked for.
   ReachMode UsedReach = ReachMode::Incremental;
   /// Fixpoint rounds completed at the freeze point.
   uint32_t RoundsDone = 0;
@@ -184,18 +191,6 @@ struct HbFrontier {
   /// Per-queue scan frontiers for the atomicity / event-queue scans.
   std::vector<HbScanCursor> AtomCursors;
   std::vector<HbScanCursor> SendCursors;
-  /// Serialized closure rows (row-major, RowWords words per row), or
-  /// empty when the matrix was too large to attach -- the resume then
-  /// recomputes it with refresh(), which is pure time, not lost work.
-  size_t RowWords = 0;
-  std::vector<uint64_t> ClosureRows;
-  /// Serialized chain decomposition + clocks (ChainReachability's blob;
-  /// empty unless the frontier was cut under ReachMode::Chain with live
-  /// clocks).  Exactly one of ClosureRows/ChainState is ever nonempty.
-  /// A resume under a different mode finds no importable blob and
-  /// recomputes with refresh() -- the "recompute, never reject"
-  /// cross-mode contract (docs/robustness.md).
-  std::vector<uint64_t> ChainState;
   /// Rule families still short of their fixpoint (mirrors
   /// HbDegradation::UnsaturatedRules at the freeze point).
   std::vector<std::string> UnsaturatedRules;
@@ -246,19 +241,16 @@ public:
   /// exactly when the deadline rung cut it short.
   bool saturated() const { return Converged; }
 
-  /// Freezes the current state as a resumable frontier (see HbFrontier).
-  /// Closure rows are attached when the oracle has them and the blob
-  /// stays under an internal size cap; otherwise the frontier carries
-  /// only the edges and cursors and a resume recomputes the rows.
-  HbFrontier exportFrontier() const;
+  /// The current state as a resumable frontier (see HbFrontier): edges,
+  /// cursors and counters -- a resume rebuilds the oracle from them.
+  const HbFrontier &exportFrontier() const { return Kept; }
 
   /// Swaps the reachability oracle for the BFS floor, releasing its
   /// precomputed state (closure rows or chain clocks).  For callers
   /// that are done with bulk ordering queries -- the windowed detector
   /// answers them from its own frontier rows -- but keep the index
   /// alive for the graph and occasional queries.  All oracles answer
-  /// identically, so happensBefore() stays correct, just slower; export
-  /// any frontier blob first, the shed oracle has none to attach.
+  /// identically, so happensBefore() stays correct, just slower.
   /// degradation() keeps reporting the build-time provenance.
   void shedOracle();
 
@@ -287,9 +279,8 @@ private:
   std::unique_ptr<Reachability> Reach;
   HbRuleStats Stats;
   HbDegradation Degrade;
-  /// Live frontier (everything but the closure rows, which are exported
-  /// on demand): derived edges accumulate as rounds commit, cursors and
-  /// counters are synced at every save point and at the end of
+  /// Live frontier: derived edges accumulate as rounds commit, cursors
+  /// and counters are synced at every save point and at the end of
   /// construction.
   HbFrontier Kept;
   bool Converged = false;

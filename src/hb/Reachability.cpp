@@ -154,28 +154,6 @@ bool allocateRowMatrix(std::vector<BitVec> &Rows, size_t N, size_t Budget,
   return true;
 }
 
-/// Row export shared by both closure oracles (the matrix content depends
-/// only on the graph, not the oracle flavor).
-bool exportRows(const std::vector<BitVec> &Rows,
-                std::vector<uint64_t> &WordsOut, size_t &WordsPerRowOut) {
-  WordsPerRowOut = Rows.empty() ? 0 : Rows.front().numWords();
-  WordsOut.clear();
-  WordsOut.reserve(Rows.size() * WordsPerRowOut);
-  for (const BitVec &Row : Rows)
-    for (size_t W = 0, E = Row.numWords(); W != E; ++W)
-      WordsOut.push_back(Row.word(W));
-  return true;
-}
-
-/// Row import counterpart; the caller has already allocated Rows to the
-/// graph's shape and verified the blob's dimensions match.
-void importRows(std::vector<BitVec> &Rows, const uint64_t *Words,
-                size_t WordsPerRow) {
-  for (size_t I = 0, N = Rows.size(); I != N; ++I)
-    for (size_t W = 0; W != WordsPerRow; ++W)
-      Rows[I].setWord(W, Words[I * WordsPerRow + W]);
-}
-
 } // namespace
 
 bool ClosureReachability::allocateRows() {
@@ -199,23 +177,6 @@ void ClosureReachability::refresh() {
   // With a pool installed the sweep splits into column strips
   // (bit-identical; see the strip helpers above).
   refreshRows(G, Rows, Pool);
-}
-
-bool ClosureReachability::exportClosureRows(std::vector<uint64_t> &WordsOut,
-                                            size_t &WordsPerRowOut) const {
-  return exportRows(Rows, WordsOut, WordsPerRowOut);
-}
-
-bool ClosureReachability::importClosureRows(const uint64_t *Words,
-                                            size_t NumWords,
-                                            size_t WordsPerRow) {
-  size_t N = G.numNodes();
-  if (WordsPerRow != (N + 63) / 64 || NumWords != N * WordsPerRow)
-    return false;
-  if (!allocateRows())
-    return false;
-  importRows(Rows, Words, WordsPerRow);
-  return true;
 }
 
 size_t ClosureReachability::memoryBytes() const {
@@ -259,29 +220,6 @@ void IncrementalClosureReachability::refresh() {
   // appeared.
   DirtyValid = false;
   FactsValid = false;
-}
-
-bool IncrementalClosureReachability::exportClosureRows(
-    std::vector<uint64_t> &WordsOut, size_t &WordsPerRowOut) const {
-  return exportRows(Rows, WordsOut, WordsPerRowOut);
-}
-
-bool IncrementalClosureReachability::importClosureRows(const uint64_t *Words,
-                                                       size_t NumWords,
-                                                       size_t WordsPerRow) {
-  size_t N = G.numNodes();
-  if (WordsPerRow != (N + 63) / 64 || NumWords != N * WordsPerRow)
-    return false;
-  if (!allocateRows())
-    return false;
-  importRows(Rows, Words, WordsPerRow);
-  // The imported matrix must cover the graph's current edges (the caller
-  // restores graph and rows from the same checkpoint), and an import
-  // carries no delta history.
-  KnownEdges = G.numEdges();
-  DirtyValid = false;
-  FactsValid = false;
-  return true;
 }
 
 void IncrementalClosureReachability::addEdges(
@@ -568,8 +506,8 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
   // Edges point forward in id order, so every chain's members ascend --
   // which makes a chain's position order its id order, and makes the
   // walk O(N + E) total.  The cover is a pure function of the adjacency
-  // lists: determinism is what keeps checkpointed clocks byte-stable
-  // and lets the windowed frontier recompute the very same cover.
+  // lists: determinism is what lets the windowed frontier recompute
+  // the very same cover.
   for (uint32_t I = 0, E = static_cast<uint32_t>(N); I != E; ++I) {
     if (Out.ChainOf[I] != ChainCover::Unassigned)
       continue;
@@ -596,10 +534,9 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
 //===----------------------------------------------------------------------===//
 
 ChainReachability::ChainReachability(const HbGraph &G, size_t BudgetBytes,
-                                     bool Defer)
-    : G(G), Budget(BudgetBytes), Search(G) {
-  if (!Defer)
-    refresh();
+                                     WorkerPool *Pool)
+    : G(G), Budget(BudgetBytes), Search(G), Pool(Pool) {
+  refresh();
 }
 
 void ChainReachability::decompose() {
@@ -627,8 +564,7 @@ void ChainReachability::maybeBootstrap() {
     return;
   }
   if (!Boot) {
-    Boot = std::make_unique<IncrementalClosureReachability>(G);
-    Boot->setWorkerPool(Pool);
+    Boot = std::make_unique<IncrementalClosureReachability>(G, 0, Pool);
     if (HasFilter)
       Boot->setFactFilter(SrcMask, TgtMask);
   } else {
@@ -891,88 +827,6 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
   DirtyValid = true;
 }
 
-bool ChainReachability::exportChainState(
-    std::vector<uint64_t> &WordsOut) const {
-  if (!ClocksValid)
-    return false; // search phase: nothing worth carrying, resume refreshes
-  size_t N = G.numNodes();
-  auto pack = [&WordsOut](const std::vector<uint32_t> &V) {
-    for (size_t I = 0; I < V.size(); I += 2) {
-      uint64_t W = V[I];
-      if (I + 1 < V.size())
-        W |= uint64_t(V[I + 1]) << 32;
-      WordsOut.push_back(W);
-    }
-  };
-  WordsOut.clear();
-  WordsOut.reserve(3 + (N + 1) / 2 + (Clocks.size() + 1) / 2);
-  WordsOut.push_back(N);
-  WordsOut.push_back(NumChains);
-  WordsOut.push_back(1); // layout flag: chain-of array + clock matrix
-  pack(ChainOf);
-  pack(Clocks);
-  return true;
-}
-
-bool ChainReachability::importChainState(const uint64_t *Words,
-                                         size_t NumWords) {
-  size_t N = G.numNodes();
-  if (NumWords < 3 || Words[0] != N || Words[2] != 1)
-    return false;
-  uint64_t C64 = Words[1];
-  if (N == 0 ? C64 != 0 : (C64 == 0 || C64 > N || C64 > MaxChainsForClocks))
-    return false;
-  uint32_t C = static_cast<uint32_t>(C64);
-  size_t CoWords = (N + 1) / 2;
-  size_t ClWords = (N * size_t(C) + 1) / 2;
-  if (NumWords != 3 + CoWords + ClWords)
-    return false;
-  if (Budget && N * (13 + size_t(C) * 4) > Budget)
-    return false; // does not fit; the caller's refresh() runs search-phase
-  auto unpack = [](const uint64_t *Src, std::vector<uint32_t> &V, size_t Len) {
-    V.resize(Len);
-    for (size_t I = 0; I != Len; ++I) {
-      uint64_t W = Src[I / 2];
-      V[I] = static_cast<uint32_t>(I % 2 ? W >> 32 : W & 0xFFFFFFFFu);
-    }
-  };
-  std::vector<uint32_t> CandChainOf;
-  unpack(Words + 3, CandChainOf, N);
-  for (uint32_t V : CandChainOf)
-    if (V >= C)
-      return false;
-  // Rebuild members/positions from the chain assignment (ids ascending
-  // restores the positional order the exporting run used), then bounds-
-  // check every clock entry against its chain's length.
-  std::vector<std::vector<uint32_t>> CandNodes(C);
-  std::vector<uint32_t> CandPos(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    CandPos[I] = static_cast<uint32_t>(CandNodes[CandChainOf[I]].size());
-    CandNodes[CandChainOf[I]].push_back(I);
-  }
-  std::vector<uint32_t> CandClocks;
-  unpack(Words + 3 + CoWords, CandClocks, N * size_t(C));
-  for (size_t I = 0; I != CandClocks.size(); ++I)
-    if (CandClocks[I] != Unset &&
-        CandClocks[I] >= CandNodes[I % C].size())
-      return false;
-  ChainOf = std::move(CandChainOf);
-  PosInChain = std::move(CandPos);
-  ChainNodes = std::move(CandNodes);
-  Clocks = std::move(CandClocks);
-  NumChains = C;
-  ClocksValid = true;
-  Boot.reset();
-  Dirty.assign(N, 0);
-  // The imported clocks must cover the graph's current edges (the caller
-  // restores graph and clocks from the same checkpoint), and an import
-  // carries no delta history.
-  KnownEdges = G.numEdges();
-  DirtyValid = false;
-  FactsValid = false;
-  return true;
-}
-
 size_t ChainReachability::memoryBytes() const {
   return baseBytes() + Clocks.capacity() * 4 +
          Gained.capacity() * sizeof(GainedWord) +
@@ -1001,21 +855,21 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
 std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
                                                      ReachMode Mode,
                                                      size_t BudgetBytes,
-                                                     bool Defer) {
+                                                     WorkerPool *Pool) {
   switch (resolveReachMode(Mode)) {
   case ReachMode::Closure:
-    return std::make_unique<ClosureReachability>(G, BudgetBytes, Defer);
+    return std::make_unique<ClosureReachability>(G, BudgetBytes, Pool);
   case ReachMode::Bfs:
-    // No precomputed state: nothing to budget, nothing to defer.
+    // No precomputed state: nothing to budget, nothing to sweep.
     return std::make_unique<BfsReachability>(G);
   case ReachMode::Chain:
-    return std::make_unique<ChainReachability>(G, BudgetBytes, Defer);
+    return std::make_unique<ChainReachability>(G, BudgetBytes, Pool);
   case ReachMode::Incremental:
   case ReachMode::Auto: // resolveReachMode never returns Auto
     break;
   }
   return std::make_unique<IncrementalClosureReachability>(G, BudgetBytes,
-                                                          Defer);
+                                                          Pool);
 }
 
 const char *cafa::reachModeName(ReachMode Mode) {

@@ -187,47 +187,6 @@ public:
   /// down a rung.  Budget-free oracles always return false.
   virtual bool budgetExceeded() const { return false; }
 
-  /// Serializes the closure row matrix for checkpointing: \p WordsOut
-  /// receives numNodes() x WordsPerRow raw 64-bit words, row-major.
-  /// Returns false for oracles with no precomputed rows (BFS) -- the
-  /// resumed run then recomputes via refresh().  Rows depend only on the
-  /// graph's edges, never on the oracle flavor, so a row blob exported
-  /// from one closure-based mode imports into the other.
-  virtual bool exportClosureRows(std::vector<uint64_t> & /*WordsOut*/,
-                                 size_t & /*WordsPerRowOut*/) const {
-    return false;
-  }
-
-  /// Restores a row matrix exported by exportClosureRows() over a graph
-  /// with identical node/edge content, skipping the O(N^2) rebuild.
-  /// Returns false when the blob's shape does not match this graph (the
-  /// caller falls back to refresh()) or the memory budget is exceeded
-  /// (check budgetExceeded() to tell the cases apart).
-  virtual bool importClosureRows(const uint64_t * /*Words*/,
-                                 size_t /*NumWords*/,
-                                 size_t /*WordsPerRow*/) {
-    return false;
-  }
-
-  /// Serializes the chain decomposition + clock matrix for
-  /// checkpointing (the chain-mode analogue of exportClosureRows; the
-  /// two blobs are intentionally *not* interchangeable -- a chain blob
-  /// restored into a closure rung, or vice versa, fails the shape check
-  /// and the resume recomputes with refresh(), which is pure time, not
-  /// lost work; see docs/robustness.md, "Cross-mode resume").  Returns
-  /// false for every oracle without chain clocks.
-  virtual bool exportChainState(std::vector<uint64_t> & /*WordsOut*/) const {
-    return false;
-  }
-
-  /// Restores a blob exported by exportChainState() over a graph with
-  /// identical node/edge content.  Returns false on shape mismatch or
-  /// budget overrun (same contract as importClosureRows).
-  virtual bool importChainState(const uint64_t * /*Words*/,
-                                size_t /*NumWords*/) {
-    return false;
-  }
-
   /// True when reaches() may be issued from several threads at once.
   /// The default covers the closure oracles: an immutable row matrix is
   /// safe to read concurrently.  BfsReachability overrides to false
@@ -255,16 +214,14 @@ public:
 /// allocation: rows are counted as they are allocated and the build
 /// aborts (budgetExceeded()) the moment the running total passes the
 /// budget -- the adaptive-degradation ladder probes actual footprints
-/// instead of trusting estimateReachabilityMemory().  \p Defer skips the
-/// initial build so a checkpoint resume can importClosureRows() without
-/// paying for a refresh it would throw away.
+/// instead of trusting estimateReachabilityMemory().  \p Pool, when set,
+/// is installed before the initial build (see setWorkerPool).
 class ClosureReachability final : public Reachability {
 public:
   explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                               bool Defer = false)
-      : G(G), Budget(BudgetBytes) {
-    if (!Defer)
-      refresh();
+                               WorkerPool *Pool = nullptr)
+      : G(G), Budget(BudgetBytes), Pool(Pool) {
+    refresh();
   }
 
   bool reaches(NodeId From, NodeId To) const override {
@@ -274,10 +231,6 @@ public:
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
   bool budgetExceeded() const override { return Exceeded; }
-  bool exportClosureRows(std::vector<uint64_t> &WordsOut,
-                         size_t &WordsPerRowOut) const override;
-  bool importClosureRows(const uint64_t *Words, size_t NumWords,
-                         size_t WordsPerRow) override;
   void setWorkerPool(WorkerPool *P) override { Pool = P; }
 
   /// Direct row access for cache-friendly pair scans in the rule engine.
@@ -319,7 +272,7 @@ private:
 ///    clean-node scan is cheap.
 class IncrementalClosureReachability final : public Reachability {
 public:
-  /// BudgetBytes/Defer: same contract as ClosureReachability.  The
+  /// BudgetBytes/Pool: same contract as ClosureReachability.  The
   /// budgeted build allocates the delta-tracking extras (dirty flags,
   /// snapshot row, fact-filter masks) eagerly so the measured footprint
   /// covers what a fixpoint run will actually commit, keeping the
@@ -327,10 +280,9 @@ public:
   /// ordering the static estimates promise.
   explicit IncrementalClosureReachability(const HbGraph &G,
                                           size_t BudgetBytes = 0,
-                                          bool Defer = false)
-      : G(G), Budget(BudgetBytes) {
-    if (!Defer)
-      refresh();
+                                          WorkerPool *Pool = nullptr)
+      : G(G), Budget(BudgetBytes), Pool(Pool) {
+    refresh();
   }
 
   bool reaches(NodeId From, NodeId To) const override {
@@ -341,10 +293,6 @@ public:
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
   bool budgetExceeded() const override { return Exceeded; }
-  bool exportClosureRows(std::vector<uint64_t> &WordsOut,
-                         size_t &WordsPerRowOut) const override;
-  bool importClosureRows(const uint64_t *Words, size_t NumWords,
-                         size_t WordsPerRow) override;
   const uint8_t *changedRows() const override {
     return DirtyValid ? Dirty.data() : nullptr;
   }
@@ -496,12 +444,12 @@ public:
   /// million-event graphs into the frugal O(N) tier.
   static constexpr size_t MaxBootstrapBytes = 64ull << 20;
 
-  /// BudgetBytes/Defer: same contract as ClosureReachability, with one
+  /// BudgetBytes/Pool: same contract as ClosureReachability, with one
   /// refinement: a budget that admits the linear structures but not the
   /// clock matrix keeps the oracle usable in its search phase instead of
   /// aborting -- budgetExceeded() fires only when even O(N) does not fit.
   explicit ChainReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                             bool Defer = false);
+                             WorkerPool *Pool = nullptr);
 
   bool reaches(NodeId From, NodeId To) const override;
   void refresh() override;
@@ -532,8 +480,6 @@ public:
       return Boot->gainedWords();
     return FactsValid ? &Gained : nullptr;
   }
-  bool exportChainState(std::vector<uint64_t> &WordsOut) const override;
-  bool importChainState(const uint64_t *Words, size_t NumWords) override;
   /// Clock lookups are const reads of an immutable matrix, and the
   /// bootstrap's row matrix is likewise safe; the frugal search tier
   /// mutates per-query scratch and must stay sequential.
@@ -554,8 +500,8 @@ public:
 
 private:
   /// Greedy path cover over the graph's current edges; deterministic
-  /// (pure function of the adjacency lists), so checkpointed clocks are
-  /// byte-stable across save/resume.  Chain members ascend in node id.
+  /// (pure function of the adjacency lists).  Chain members ascend in
+  /// node id.
   void decompose();
   /// Engages (or refreshes) the bootstrap closure when its estimated
   /// footprint fits min(Budget, MaxBootstrapBytes); otherwise releases
@@ -610,11 +556,11 @@ private:
 /// nonzero, bounds what a closure-based oracle may allocate (the build
 /// aborts into budgetExceeded() instead of overshooting); BFS carries no
 /// precomputed state and ignores the budget -- it is the ladder's floor.
-/// \p Defer skips the initial build (see ClosureReachability).
+/// \p Pool is lent to the oracle before its initial build.
 std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
                                                ReachMode Mode,
                                                size_t BudgetBytes = 0,
-                                               bool Defer = false);
+                                               WorkerPool *Pool = nullptr);
 
 /// Returns a stable lowercase name for \p Mode ("incremental", "closure",
 /// "chain", "bfs", "auto"), for CLI flags and degradation diagnostics.

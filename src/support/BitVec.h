@@ -99,15 +99,6 @@ public:
   /// Returns backing word \p I (bits [64*I, 64*I+63]).
   uint64_t word(size_t I) const { return Words[I]; }
 
-  /// Overwrites backing word \p I wholesale; bits past size() are masked
-  /// off so count()/none() stay exact.  Used to import serialized
-  /// closure rows (support/Snapshot.h).
-  void setWord(size_t I, uint64_t V) {
-    Words[I] = V;
-    if (I + 1 == Words.size())
-      clearTail();
-  }
-
   /// Copies \p Other's words from the word holding \p FromBit onward,
   /// leaving earlier words untouched.  Universe sizes must match.  Used
   /// to snapshot the live half of a closure row before a delta sweep

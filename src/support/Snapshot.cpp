@@ -67,7 +67,8 @@ void SnapshotWriter::u64s(const uint64_t *Words, size_t N) {
 
 Status SnapshotWriter::writeFileAtomic(const std::string &Path,
                                        const char *Magic,
-                                       uint32_t Version) const {
+                                       uint32_t Version,
+                                       uint64_t *FileBytes) const {
   std::string Framed;
   Framed.reserve(MagicBytes + 20 + Buf.size());
   Framed.append(Magic, MagicBytes);
@@ -75,7 +76,10 @@ Status SnapshotWriter::writeFileAtomic(const std::string &Path,
   appendLe(Framed, Buf.size(), 8);
   appendLe(Framed, fnv1a64(Buf.data(), Buf.size()), 8);
   Framed.append(Buf);
-  return durableWrite(Path, Framed);
+  Status S = durableWrite(Path, Framed);
+  if (S.ok() && FileBytes)
+    *FileBytes = Framed.size();
+  return S;
 }
 
 Status SnapshotReader::loadFile(const std::string &Path, const char *Magic,
@@ -153,6 +157,8 @@ bool SnapshotReader::str(std::string &S, size_t MaxLen) {
 bool SnapshotReader::u64s(uint64_t *Words, size_t N) {
   if (N > (Payload.size() - Pos) / 8)
     return false;
+  if (N == 0)
+    return true; // Words may be an empty vector's null data()
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(Words, Payload.data() + Pos, N * 8);
     Pos += N * 8;

@@ -69,9 +69,11 @@ public:
   const std::string &buffer() const { return Buf; }
 
   /// Writes header + payload to \p Path via a sibling ".tmp" file,
-  /// fsync, and rename.  \p Magic must be exactly 8 bytes.
+  /// fsync, and rename.  \p Magic must be exactly 8 bytes.  On success
+  /// \p FileBytes, when set, receives the size of the written file.
   Status writeFileAtomic(const std::string &Path, const char *Magic,
-                         uint32_t Version) const;
+                         uint32_t Version,
+                         uint64_t *FileBytes = nullptr) const;
 
 private:
   std::string Buf;

@@ -24,6 +24,8 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -206,7 +208,7 @@ TEST(AnalysisThreadsTest, CheckpointCutAtOneThreadResumesAtFour) {
   Table1Row Dummy;
   Trace T = runScenario(App.finish(Dummy).S, RuntimeOptions());
 
-  std::string Dir = testing::TempDir() + "/cafa_xthreads_ckpt";
+  std::string Dir = testScratchDir() + "/cafa_xthreads_ckpt";
   ::mkdir(Dir.c_str(), 0755);
   std::remove(checkpointPath(Dir).c_str());
 
@@ -293,7 +295,7 @@ RunResult runParallelAnalyzer(const std::vector<std::string> &Args,
 }
 
 TEST(AnalysisThreadsTest, SigkillUnderParallelAnalysisResumesByteIdentical) {
-  std::string Scratch = testing::TempDir() + "/cafa_parallel_kill";
+  std::string Scratch = testScratchDir() + "/cafa_parallel_kill";
   ::mkdir(Scratch.c_str(), 0755);
   std::string TracePath = Scratch + "/app.trace";
 

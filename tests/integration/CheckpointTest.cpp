@@ -15,12 +15,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppKit.h"
+#include "apps/Apps.h"
 #include "cafa/Cafa.h"
 #include "cafa/ReportJson.h"
 #include "trace/TraceBuilder.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sys/stat.h>
@@ -70,7 +74,7 @@ Trace buildWideScanTrace() {
 
 /// A fresh checkpoint directory with no stale snapshot in it.
 std::string freshCheckpointDir(const char *Name) {
-  std::string Dir = testing::TempDir() + "/cafa_ckpt_" + Name;
+  std::string Dir = testScratchDir() + "/cafa_ckpt_" + Name;
   ::mkdir(Dir.c_str(), 0755);
   std::remove(checkpointPath(Dir).c_str());
   return Dir;
@@ -345,11 +349,38 @@ TEST(CheckpointTest, HbDeadlineCutUnderChainResumesBitIdentical) {
   EXPECT_FALSE(fileExists(checkpointPath(Dir)));
 }
 
-TEST(CheckpointTest, ChainFrontierRoundTripsClocksByteIdentical) {
-  // A saturated chain-mode index exports its decomposition + clock
-  // matrix; a resume adopts it (no recompute) and re-exports the exact
-  // same words.  The closure-rows blob and the chain blob are mutually
-  // exclusive: exactly one is ever populated.
+/// Frontier equality on every derivation field; UsedReach is
+/// provenance and deliberately left out.
+void expectSameDerivation(const HbFrontier &A, const HbFrontier &B,
+                          const char *What) {
+  EXPECT_EQ(A.RoundsDone, B.RoundsDone) << What;
+  EXPECT_EQ(A.Saturated, B.Saturated) << What;
+  EXPECT_EQ(A.Stats.AtomicityEdges, B.Stats.AtomicityEdges) << What;
+  EXPECT_EQ(A.Stats.QueueRule1Edges, B.Stats.QueueRule1Edges) << What;
+  ASSERT_EQ(A.DerivedEdges.size(), B.DerivedEdges.size()) << What;
+  for (size_t I = 0; I != A.DerivedEdges.size(); ++I) {
+    EXPECT_EQ(A.DerivedEdges[I].From, B.DerivedEdges[I].From) << What;
+    EXPECT_EQ(A.DerivedEdges[I].To, B.DerivedEdges[I].To) << What;
+  }
+  auto SameCursors = [](const std::vector<HbScanCursor> &X,
+                        const std::vector<HbScanCursor> &Y) {
+    if (X.size() != Y.size())
+      return false;
+    for (size_t I = 0; I != X.size(); ++I)
+      if (X[I].Gap != Y[I].Gap || X[I].I != Y[I].I)
+        return false;
+    return true;
+  };
+  EXPECT_TRUE(SameCursors(A.AtomCursors, B.AtomCursors)) << What;
+  EXPECT_TRUE(SameCursors(A.SendCursors, B.SendCursors)) << What;
+  EXPECT_EQ(A.UnsaturatedRules, B.UnsaturatedRules) << What;
+}
+
+TEST(CheckpointTest, ChainResumeRebuildsClocksToTheSameChainCount) {
+  // A frontier carries the derivation, never the clock matrix: a chain
+  // resume rebuilds its clocks from the replayed edges and lands on the
+  // same decomposition width and the same report as an uninterrupted
+  // chain run -- from a mid-fixpoint cut and from a saturated frontier.
   Trace T = buildAppTrace();
   TaskIndex Index(T);
   HbOptions ChainOpt;
@@ -360,72 +391,141 @@ TEST(CheckpointTest, ChainFrontierRoundTripsClocksByteIdentical) {
   ASSERT_LE(Clean.degradation().ChainCount,
             size_t(ChainReachability::MaxChainsForClocks));
 
-  HbFrontier F = Clean.exportFrontier();
-  ASSERT_FALSE(F.ChainState.empty()); // clocks are live at saturation
-  EXPECT_TRUE(F.ClosureRows.empty());
-
-  HbCheckpointing Ck;
-  Ck.Resume = &F;
-  HbIndex Resumed(T, Index, ChainOpt, &Ck);
-  EXPECT_TRUE(Resumed.saturated());
-  HbFrontier F2 = Resumed.exportFrontier();
-  EXPECT_EQ(F.ChainState, F2.ChainState); // byte-stable across resume
+  HbOptions OneRound = ChainOpt;
+  OneRound.MaxFixpointRounds = 1;
+  HbIndex Stopped(T, Index, OneRound);
+  ASSERT_FALSE(Stopped.exportFrontier().Saturated);
 
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
-  RaceReport A = detectUseFreeRaces(T, Index, Db, Clean, Opt);
-  RaceReport B = detectUseFreeRaces(T, Index, Db, Resumed, Opt);
-  EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
+  RaceReport Ref = detectUseFreeRaces(T, Index, Db, Clean, Opt);
+  for (const HbIndex *Cut : {&Stopped, &Clean}) {
+    HbFrontier F = Cut->exportFrontier();
+    HbCheckpointing Ck;
+    Ck.Resume = &F;
+    HbIndex Resumed(T, Index, ChainOpt, &Ck);
+    EXPECT_TRUE(Resumed.saturated());
+    EXPECT_EQ(Resumed.degradation().UsedReach, ReachMode::Chain);
+    EXPECT_EQ(Resumed.degradation().ChainCount,
+              Clean.degradation().ChainCount);
+    expectSameDerivation(Resumed.exportFrontier(), Clean.exportFrontier(),
+                         "resumed vs clean");
+    RaceReport B = detectUseFreeRaces(T, Index, Db, Resumed, Opt);
+    EXPECT_EQ(renderRaceReport(B, T), renderRaceReport(Ref, T));
+    EXPECT_EQ(renderRaceReportJson(B, T), renderRaceReportJson(Ref, T));
+  }
 }
 
 TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
-  // A frontier cut under one oracle resumed under another: the foreign
-  // blob fails the importer's shape/type check and the resume
-  // *recomputes* the oracle state from the carried edges -- it never
-  // rejects the resume and never yields a different relation
-  // (docs/robustness.md, "Cross-mode resume").
+  // Every resume rebuilds its oracle from base + derived edges, so the
+  // oracle a frontier was cut under never matters: frontiers cut under
+  // each mode hold the same derivation (nothing oracle-shaped to
+  // differ), and resuming any of them under any mode yields the
+  // uninterrupted run's report byte for byte (docs/robustness.md,
+  // "Every resume rebuilds the oracle").
   Trace T = buildAppTrace();
   TaskIndex Index(T);
+  const ReachMode Modes[] = {ReachMode::Incremental, ReachMode::Closure,
+                             ReachMode::Chain, ReachMode::Bfs};
 
-  // Incremental cut -> chain resume.
-  HbOptions IncCut;
-  IncCut.Reach = ReachMode::Incremental;
-  IncCut.MaxFixpointRounds = 1;
-  HbIndex Stopped(T, Index, IncCut);
-  HbFrontier F = Stopped.exportFrontier();
-  ASSERT_FALSE(F.ClosureRows.empty());
-  ASSERT_TRUE(F.ChainState.empty());
-
-  HbCheckpointing Ck;
-  Ck.Resume = &F;
-  HbOptions ChainOpt;
-  ChainOpt.Reach = ReachMode::Chain;
-  HbIndex ChainResumed(T, Index, ChainOpt, &Ck);
-  EXPECT_TRUE(ChainResumed.saturated());
-
-  // Chain cut -> incremental resume (the mirror image).
-  HbIndex ChainFull(T, Index, ChainOpt);
-  HbFrontier FC = ChainFull.exportFrontier();
-  ASSERT_FALSE(FC.ChainState.empty());
-  HbCheckpointing Ck2;
-  Ck2.Resume = &FC;
-  HbOptions IncOpt;
-  IncOpt.Reach = ReachMode::Incremental;
-  HbIndex IncResumed(T, Index, IncOpt, &Ck2);
-  EXPECT_TRUE(IncResumed.saturated());
-
-  // All four paths agree byte for byte.
-  HbIndex CleanDefault(T, Index, HbOptions());
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
-  std::string Ref = renderRaceReportJson(
-      detectUseFreeRaces(T, Index, Db, CleanDefault, Opt), T);
-  EXPECT_EQ(renderRaceReportJson(
-                detectUseFreeRaces(T, Index, Db, ChainResumed, Opt), T),
-            Ref);
-  EXPECT_EQ(renderRaceReportJson(
-                detectUseFreeRaces(T, Index, Db, IncResumed, Opt), T),
-            Ref);
+  HbOptions Free;
+  Free.Reach = ReachMode::Incremental;
+  HbIndex CleanIdx(T, Index, Free);
+  RaceReport Clean = detectUseFreeRaces(T, Index, Db, CleanIdx, Opt);
+  ASSERT_GT(Clean.Races.size(), 0u); // the comparisons are not vacuous
+  const std::string RefText = renderRaceReport(Clean, T);
+  const std::string RefJson = renderRaceReportJson(Clean, T);
+  HbOptions ChainOpt;
+  ChainOpt.Reach = ReachMode::Chain;
+  size_t CleanChains = HbIndex(T, Index, ChainOpt).degradation().ChainCount;
+
+  std::vector<HbFrontier> Cuts;
+  for (ReachMode CutMode : Modes) {
+    HbOptions CutOpt;
+    CutOpt.Reach = CutMode;
+    CutOpt.MaxFixpointRounds = 1;
+    HbIndex Stopped(T, Index, CutOpt);
+    Cuts.push_back(Stopped.exportFrontier());
+    ASSERT_FALSE(Cuts.back().Saturated);
+    EXPECT_EQ(Cuts.back().UsedReach, CutMode);
+    expectSameDerivation(Cuts.back(), Cuts.front(), reachModeName(CutMode));
+  }
+
+  for (size_t C = 0; C != Cuts.size(); ++C) {
+    for (ReachMode ResumeMode : Modes) {
+      std::string What = std::string(reachModeName(Modes[C])) + " cut, " +
+                         reachModeName(ResumeMode) + " resume";
+      HbCheckpointing Ck;
+      Ck.Resume = &Cuts[C];
+      HbOptions ResumeOpt;
+      ResumeOpt.Reach = ResumeMode;
+      HbIndex Resumed(T, Index, ResumeOpt, &Ck);
+      EXPECT_TRUE(Resumed.saturated()) << What;
+      EXPECT_EQ(Resumed.degradation().UsedReach, ResumeMode) << What;
+      if (ResumeMode == ReachMode::Chain) {
+        EXPECT_EQ(Resumed.degradation().ChainCount, CleanChains) << What;
+      }
+      RaceReport R = detectUseFreeRaces(T, Index, Db, Resumed, Opt);
+      EXPECT_EQ(renderRaceReport(R, T), RefText) << What;
+      EXPECT_EQ(renderRaceReportJson(R, T), RefJson) << What;
+    }
+  }
+}
+
+TEST(CheckpointTest, CadenceSnapshotsStaySmallOnMyTracks) {
+  // Size pin: a frontier is edges and cursors, so even saving at every
+  // 1 ms tick the mytracks snapshot stays far below the 17,920^2-bit
+  // closure matrix (40 MB) an oracle-carrying frontier used to hold.
+  Trace T = runScenario(apps::buildMyTracks().S, RuntimeOptions());
+  TaskIndex Index(T);
+  std::string Path = checkpointPath(freshCheckpointDir("mytracks_size"));
+  size_t Saves = 0, Largest = 0;
+  HbCheckpointing Ck;
+  Ck.EveryMillis = 1;
+  Ck.Save = [&](const HbFrontier &F) {
+    AnalysisSnapshot Snap;
+    Snap.NumRecords = T.numRecords();
+    Snap.Hb = F;
+    ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
+    Largest = std::max(Largest, readFile(Path).size());
+    ++Saves;
+  };
+  HbIndex Hb(T, Index, HbOptions(), &Ck);
+  EXPECT_TRUE(Hb.saturated());
+  ASSERT_GT(Saves, 0u);
+  EXPECT_LT(Largest, size_t(1) << 20);
+}
+
+TEST(CheckpointTest, V4SnapshotIsRejectedToACleanRestart) {
+  // v4 frontiers carried oracle payloads; the v5 reader must refuse
+  // them through the version check and restart cleanly.
+  Trace T = buildAppTrace();
+  std::string Dir = freshCheckpointDir("v4");
+  std::string Path = checkpointPath(Dir);
+  AnalysisResult Clean = analyzeTrace(T, DetectorOptions());
+
+  DetectorOptions Tiny;
+  Tiny.DeadlineMillis = 1e-6;
+  CheckpointOptions Ckpt;
+  Ckpt.Directory = Dir;
+  analyzeTrace(T, withCheckpoint(Tiny, Ckpt));
+  std::string Bytes = readFile(Path);
+  ASSERT_GT(Bytes.size(), 12u);
+  Bytes[8] = 4; // the little-endian u32 version right after the magic
+  writeFile(Path, Bytes);
+
+  Ckpt.Resume = true;
+  AnalysisResult R = analyzeTrace(T, withCheckpoint(DetectorOptions(), Ckpt));
+  EXPECT_TRUE(R.Resume.Attempted);
+  EXPECT_FALSE(R.Resume.Resumed);
+  EXPECT_NE(R.Resume.RejectReason.find("unsupported snapshot version 4"),
+            std::string::npos)
+      << R.Resume.RejectReason;
+  EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
+  EXPECT_EQ(renderRaceReportJson(R.Report, T),
+            renderRaceReportJson(Clean.Report, T));
 }
 
 TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
@@ -442,9 +542,6 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.Hb.DerivedEdges = {{NodeId(3), NodeId(4)}, {NodeId(9), NodeId(1)}};
   Snap.Hb.AtomCursors = {{4, 2}, {2, 0}};
   Snap.Hb.SendCursors = {{8, 5}};
-  Snap.Hb.RowWords = 1;
-  Snap.Hb.ClosureRows = {0xdeadbeefull, 0x12345678ull};
-  Snap.Hb.ChainState = {10, 3, 1, 0x0000000100000000ull, 0x21ull};
   Snap.Hb.UnsaturatedRules = {"atomicity"};
   Snap.HasDetect = true;
   Snap.Detect.UseIdx = 11;
@@ -473,9 +570,6 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   ASSERT_EQ(Back.Hb.AtomCursors.size(), 2u);
   EXPECT_EQ(Back.Hb.AtomCursors[0].Gap, 4u);
   EXPECT_EQ(Back.Hb.AtomCursors[0].I, 2u);
-  EXPECT_EQ(Back.Hb.RowWords, 1u);
-  EXPECT_EQ(Back.Hb.ClosureRows, Snap.Hb.ClosureRows);
-  EXPECT_EQ(Back.Hb.ChainState, Snap.Hb.ChainState);
   ASSERT_EQ(Back.Hb.UnsaturatedRules.size(), 1u);
   EXPECT_EQ(Back.Hb.UnsaturatedRules[0], "atomicity");
   ASSERT_TRUE(Back.HasDetect);

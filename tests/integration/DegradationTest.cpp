@@ -154,6 +154,57 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
 }
 
+TEST(DegradationTest, ClosureRungsBelowTheRowFloorAreSkippedWithoutAProbe) {
+  // N rows of ceil(N/64) words is a strict lower bound on a closure
+  // rung's measured footprint.  One byte under it, both closure rungs
+  // are stepped past without a build and the first probe is Chain's;
+  // from the floor up the rungs are still probed.
+  Trace T = buildAppTrace();
+  TaskIndex Index(T);
+  HbOptions Free;
+  Free.Reach = ReachMode::Incremental; // ladder assertions: pin the request
+  HbIndex Unlimited(T, Index, Free);
+  size_t N = Unlimited.graph().numNodes();
+  size_t Floor = N * ((N + 63) / 64) * 8;
+  ASSERT_EQ(Floor, estimateReachabilityMemory(N, ReachMode::Closure));
+  EXPECT_EQ(Unlimited.degradation().ProbedRungs, 1u);
+
+  HbOptions Under = Free;
+  Under.MemLimitBytes = Floor - 1;
+  HbIndex Skipped(T, Index, Under);
+  EXPECT_EQ(Skipped.degradation().UsedReach, ReachMode::Chain);
+  EXPECT_TRUE(Skipped.degradation().DowngradedForMemory);
+  EXPECT_EQ(Skipped.degradation().ProbedRungs, 1u);
+
+  // At the floor itself Incremental is probed and overruns on its
+  // delta-tracking extras; Closure is probed and fits exactly.
+  HbOptions AtFloor = Free;
+  AtFloor.MemLimitBytes = Floor;
+  HbIndex Probed(T, Index, AtFloor);
+  EXPECT_EQ(Probed.degradation().UsedReach, ReachMode::Closure);
+  EXPECT_EQ(Probed.degradation().ProbedRungs, 2u);
+
+  // Floor plus the extras admits the requested rung on its one probe.
+  HbOptions WithExtras = Free;
+  WithExtras.MemLimitBytes =
+      estimateReachabilityMemory(N, ReachMode::Incremental);
+  HbIndex Fits(T, Index, WithExtras);
+  EXPECT_EQ(Fits.degradation().UsedReach, ReachMode::Incremental);
+  EXPECT_FALSE(Fits.degradation().DowngradedForMemory);
+  EXPECT_EQ(Fits.degradation().ProbedRungs, 1u);
+
+  // Skipping a rung never changes the relation.
+  AccessDb Db = extractAccesses(T, Index);
+  DetectorOptions DOpt;
+  DOpt.Classify = false;
+  std::string Ref =
+      renderRaceReportJson(detectUseFreeRaces(T, Index, Db, Unlimited, DOpt), T);
+  for (const HbIndex *Idx : {&Skipped, &Probed, &Fits})
+    EXPECT_EQ(
+        renderRaceReportJson(detectUseFreeRaces(T, Index, Db, *Idx, DOpt), T),
+        Ref);
+}
+
 TEST(DegradationTest, BlownHbDeadlineYieldsPartialReport) {
   Trace T = buildAppTrace();
 

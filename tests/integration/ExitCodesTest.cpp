@@ -30,9 +30,12 @@
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <sys/stat.h>
@@ -94,7 +97,7 @@ protected:
   static std::string CleanTrace; // exits 0
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_exit_codes";
+    Scratch = testScratchDir() + "/cafa_exit_codes";
     ::mkdir(Scratch.c_str(), 0755);
     Table1Row Dummy;
 
@@ -195,6 +198,37 @@ TEST_F(ExitCodesTest, Exit4ResumeFromCheckpointCompletes) {
   EXPECT_NE(Resumed.Err.find("resumed from checkpoint"),
             std::string::npos)
       << Resumed.Err;
+}
+
+TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
+  // The --json stats line (stderr) carries the text block's phase
+  // timings and checkpoint counters, and "chains" reports the chain
+  // oracle's width when no window ran.
+  std::string Dir = Scratch + "/stats";
+  ::mkdir(Dir.c_str(), 0755);
+  std::vector<std::string> Args = {"analyze", RacyTrace, "--reach=chain",
+                                   "--window=off", "--checkpoint-dir=" + Dir,
+                                   "--checkpoint-every=0.0000001"};
+  ExitRun Text = runAnalyzer(Args, Scratch);
+  ASSERT_EQ(Text.ExitCode, 1) << Text.Err;
+  EXPECT_NE(Text.Err.find("analysis: extract "), std::string::npos);
+  EXPECT_NE(Text.Err.find("checkpoints: "), std::string::npos) << Text.Err;
+
+  Args.push_back("--json");
+  ExitRun Json = runAnalyzer(Args, Scratch);
+  ASSERT_EQ(Json.ExitCode, 1) << Json.Err;
+  for (const char *Key : {"\"extract_ms\":", "\"hb_ms\":", "\"detect_ms\":",
+                          "\"rounds\":", "\"checkpoint_bytes\":",
+                          "\"checkpoint_ms\":", "\"peak_rss_bytes\":"})
+    EXPECT_NE(Json.Err.find(Key), std::string::npos) << Key << Json.Err;
+  auto Field = [&](const std::string &Key) {
+    size_t At = Json.Err.find("\"" + Key + "\":");
+    return At == std::string::npos
+               ? -1
+               : std::atol(Json.Err.c_str() + At + Key.size() + 3);
+  };
+  EXPECT_GT(Field("checkpoint_saves"), 0) << Json.Err;
+  EXPECT_GT(Field("chains"), 0) << Json.Err;
 }
 
 TEST_F(ExitCodesTest, ServerUsageAndSetupErrorsExitTwo) {

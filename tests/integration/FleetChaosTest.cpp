@@ -28,6 +28,8 @@
 #include "trace/FaultInjector.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -65,7 +67,7 @@ protected:
   static std::string GarbageTrace; // not a trace at all
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_fleet_chaos";
+    Scratch = testScratchDir() + "/cafa_fleet_chaos";
     ::mkdir(Scratch.c_str(), 0755);
     Table1Row Dummy;
 

@@ -22,6 +22,8 @@
 
 #include "cafa/RaceStore.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -50,7 +52,7 @@ protected:
   std::string Scratch;
 
   void SetUp() override {
-    Scratch = testing::TempDir() + "/cafa_race_store";
+    Scratch = testScratchDir() + "/cafa_race_store";
     ::mkdir(Scratch.c_str(), 0755);
     // Unique per test *and* per run: ctest runs each test as its own
     // process (pid disambiguates parallel tests and earlier runs'

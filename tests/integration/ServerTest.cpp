@@ -29,6 +29,8 @@
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -123,7 +125,7 @@ protected:
   static std::string CleanTrace; // no races
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_server_test";
+    Scratch = testScratchDir() + "/cafa_server_test";
     ::mkdir(Scratch.c_str(), 0755);
     Table1Row Dummy;
 

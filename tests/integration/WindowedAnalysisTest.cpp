@@ -31,6 +31,8 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -230,7 +232,7 @@ Trace buildAppTrace() {
 }
 
 std::string freshCheckpointDir(const char *Name) {
-  std::string Dir = testing::TempDir() + "/cafa_windowed_" + Name;
+  std::string Dir = testScratchDir() + "/cafa_windowed_" + Name;
   ::mkdir(Dir.c_str(), 0755);
   std::remove(checkpointPath(Dir).c_str());
   return Dir;
@@ -442,7 +444,7 @@ RunResult runAnalyzer(const std::vector<std::string> &Args,
 }
 
 TEST(WindowedAnalysisTest, SigkillMidWindowedRunResumesByteIdentical) {
-  std::string Scratch = testing::TempDir() + "/cafa_windowed_kill";
+  std::string Scratch = testScratchDir() + "/cafa_windowed_kill";
   ::mkdir(Scratch.c_str(), 0755);
   std::string TracePath = Scratch + "/app.trace";
 
@@ -509,7 +511,7 @@ TEST(WindowedAnalysisTest, SigkillMidWindowedRunResumesByteIdentical) {
 }
 
 TEST(WindowedAnalysisTest, OversizedInputNeedsAWindowToStream) {
-  std::string Scratch = testing::TempDir() + "/cafa_windowed_oversize";
+  std::string Scratch = testScratchDir() + "/cafa_windowed_oversize";
   ::mkdir(Scratch.c_str(), 0755);
   std::string TracePath = Scratch + "/app.trace";
   Trace T = buildAppTrace();
