@@ -380,7 +380,7 @@ void sweepIngestThreads(const Trace &Pristine) {
 }
 
 /// Analysis thread-count axis: wall time of the happens-before build
-/// (closure sweeps + rule-engine scans) and the detector pair scan at
+/// (single-threaded; a control) and the detector pair scan at
 /// 1/2/4/8 analysis threads, with the bit-identity contract checked on
 /// every row -- the rendered JSON report must match the 1-thread
 /// reference byte for byte.  Speedup is relative to the 1-thread run;

@@ -24,8 +24,10 @@
 // (docs/windowed-analysis.md): bounded resident overlay, byte-identical
 // report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
 // even under memory pressure.  The stats block (stderr; one JSON line
-// under --json, same fields) reports phase timings, checkpoint saves,
-// the process peak RSS and the window overlay's high-water mark.
+// under --json, same fields) reports phase timings -- the
+// happens-before build down to its oracle build and each fixpoint
+// round's scans and update -- checkpoint saves, the process peak RSS
+// and the window overlay's high-water mark.
 // Damaged dumps are salvaged by default (--strict insists on a pristine
 // file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
 // degradation ladder (docs/robustness.md).
@@ -72,6 +74,7 @@
 #include "cafa/ReportJson.h"
 #include "confirm/Confirm.h"
 #include "hb/DotExport.h"
+#include "support/Format.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
@@ -80,6 +83,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <thread>
@@ -88,6 +92,30 @@
 
 using namespace cafa;
 using namespace cafa::apps;
+
+/// The happens-before build's oracle init and per-round phase timings,
+/// as the text stats line ("happens-before rounds: ...") or as the
+/// JSON stats line's fields -- one schema, two renderings.
+static std::string renderHbTimings(const HbTimings &Hb, bool Json) {
+  std::string Out =
+      Json ? formatString("\"hb_oracle_init_ms\":%.1f,\"hb_round_ms\":[",
+                          Hb.OracleInitMillis)
+           : formatString("happens-before rounds: oracle init %.1f ms",
+                          Hb.OracleInitMillis);
+  for (size_t I = 0; I != Hb.Rounds.size(); ++I) {
+    const HbRoundTiming &R = Hb.Rounds[I];
+    Out += Json ? formatString("%s{\"dispatch\":%.1f,\"atomicity\":%.1f,"
+                               "\"queue\":%.1f,\"update\":%.1f}",
+                               I ? "," : "", R.DispatchMillis,
+                               R.AtomicityMillis, R.QueueMillis,
+                               R.UpdateMillis)
+                : formatString("; round %zu dispatch %.1f, atomicity %.1f, "
+                               "queue %.1f, update %.1f ms",
+                               I + 1, R.DispatchMillis, R.AtomicityMillis,
+                               R.QueueMillis, R.UpdateMillis);
+  }
+  return Out + (Json ? "]" : "\n");
+}
 
 static int usage(const char *Prog) {
   std::fprintf(stderr,
@@ -386,6 +414,7 @@ int main(int argc, char **argv) {
                    "(%u fixpoint rounds), detect %.1f ms\n",
                    R.ExtractMillis, R.HbBuildMillis,
                    R.HbStats.FixpointRounds, R.DetectMillis);
+      std::fprintf(stderr, "%s", renderHbTimings(R.HbTiming, false).c_str());
       std::fprintf(stderr,
                    "checkpoints: %u saved, %llu bytes, %.1f ms\n",
                    R.CheckpointSaves,
@@ -412,7 +441,7 @@ int main(int argc, char **argv) {
                                          : R.Degradation.ChainCount;
       std::fprintf(stderr,
                    "{\"stats\":{\"extract_ms\":%.1f,\"hb_ms\":%.1f,"
-                   "\"detect_ms\":%.1f,\"rounds\":%u,"
+                   "\"detect_ms\":%.1f,\"rounds\":%u,%s,"
                    "\"checkpoint_saves\":%u,\"checkpoint_bytes\":%llu,"
                    "\"checkpoint_ms\":%.1f,\"peak_rss_bytes\":%llu,"
                    "\"hb_bytes\":%zu,\"window_events\":%llu,"
@@ -420,7 +449,9 @@ int main(int argc, char **argv) {
                    "\"reach_high_water_rows\":%zu,\"chains\":%zu,"
                    "\"retained_high_water_bytes\":%zu}}\n",
                    R.ExtractMillis, R.HbBuildMillis, R.DetectMillis,
-                   R.HbStats.FixpointRounds, R.CheckpointSaves,
+                   R.HbStats.FixpointRounds,
+                   renderHbTimings(R.HbTiming, true).c_str(),
+                   R.CheckpointSaves,
                    static_cast<unsigned long long>(R.CheckpointBytes),
                    R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,
                    static_cast<unsigned long long>(R.WindowEventsUsed),

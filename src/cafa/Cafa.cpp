@@ -142,6 +142,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   HbIndex Hb(T, Index, Opt.Hb, CkptOn ? &HbCk : nullptr);
   Result.HbBuildMillis = Phase.elapsedWallMillis();
   Result.HbStats = Hb.ruleStats();
+  Result.HbTiming = Hb.timings();
   Result.HbMemoryBytes = Hb.memoryBytes();
   Result.Degradation = Hb.degradation();
 

@@ -42,6 +42,10 @@ struct AnalysisResult {
   double ExtractMillis = 0;
   double HbBuildMillis = 0;
   double DetectMillis = 0;
+  /// The happens-before build broken down: oracle init and, per
+  /// fixpoint round, dispatch / atomicity / queue-rule scan and update
+  /// times (inside HbBuildMillis).
+  HbTimings HbTiming;
   /// Checkpoint activity: snapshots written, their total size on disk,
   /// and the wall time spent writing them (0 with checkpoints off).
   uint32_t CheckpointSaves = 0;

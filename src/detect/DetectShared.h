@@ -8,9 +8,10 @@
 /// \file
 /// The pure per-pair predicates shared by the batch pair scan
 /// (UseFreeDetector.cpp) and the windowed streaming scan
-/// (WindowedScan.cpp).  Both scans must apply byte-identical filter
-/// logic -- the differential suite pins their reports against each
-/// other -- so the predicates live here exactly once.
+/// (WindowedScan.cpp), and the conventional model both classify with.
+/// Both scans must apply byte-identical filter logic -- the
+/// differential suite pins their reports against each other -- so the
+/// predicates live here exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,9 @@
 #define CAFA_DETECT_DETECTSHARED_H
 
 #include "detect/Accesses.h"
+#include "hb/HbIndex.h"
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -86,6 +89,35 @@ struct StaticKey {
     return std::tie(UseMethod, UsePc, FreeMethod, FreePc) <
            std::tie(O.UseMethod, O.UsePc, O.FreeMethod, O.FreePc);
   }
+};
+
+/// Table 1's thread-based baseline, for splitting inter-thread races
+/// into the "conventional" and "inter-thread" categories.  The model is
+/// built on the first query and BFS-backed: it answers one query per
+/// first-instance inter-thread race, and every oracle answers alike, so
+/// an O(N^2) closure would buy nothing.  Queries must come from one
+/// thread (the BFS reuses per-query scratch).
+class ConventionalOrder {
+public:
+  ConventionalOrder(const Trace &T, const TaskIndex &Index,
+                    const HbOptions &Hb)
+      : T(T), Index(Index), Opts(Hb) {
+    Opts.Model = OrderingModel::Conventional;
+    Opts.Reach = ReachMode::Bfs;
+  }
+
+  /// Are records \p A and \p B ordered either way under the model?
+  bool ordered(uint32_t A, uint32_t B) {
+    if (!Hb)
+      Hb = std::make_unique<HbIndex>(T, Index, Opts);
+    return Hb->ordered(A, B);
+  }
+
+private:
+  const Trace &T;
+  const TaskIndex &Index;
+  HbOptions Opts;
+  std::unique_ptr<HbIndex> Hb;
 };
 
 } // namespace detail

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 using namespace cafa;
@@ -113,16 +114,14 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
   }
   DetectIndexes Ix(Db);
 
-  // The conventional model for (b)/(c) classification, built on demand.
-  // Skipped once the pipeline is already past a deadline: a second
-  // happens-before construction would dig the hole deeper, and the
-  // (b)/(c) split is a refinement, not a soundness requirement.
-  std::unique_ptr<HbIndex> ConvHb;
-  if (Options.Classify && !Report.Partial) {
-    HbOptions ConvOpts = Options.Hb;
-    ConvOpts.Model = OrderingModel::Conventional;
-    ConvHb = std::make_unique<HbIndex>(T, Index, ConvOpts);
-  }
+  // The conventional model for (b)/(c) classification, built on the
+  // first inter-thread race.  Skipped once the pipeline is already past
+  // a deadline: a second happens-before construction would dig the
+  // hole deeper, and the (b)/(c) split is a refinement, not a soundness
+  // requirement.
+  std::optional<ConventionalOrder> Conv;
+  if (Options.Classify && !Report.Partial)
+    Conv.emplace(T, Index, Options.Hb);
 
   auto isGuarded = [&](uint32_t UseIdx) {
     int8_t &Memo = Ix.GuardedMemo[UseIdx];
@@ -331,7 +330,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     Race.Free = Free;
     if (SameLooper) {
       Race.Category = RaceCategory::IntraThread;
-    } else if (ConvHb && !ConvHb->ordered(Use.Record, Free.Record)) {
+    } else if (Conv && !Conv->ordered(Use.Record, Free.Record)) {
       Race.Category = RaceCategory::Conventional;
     } else {
       Race.Category = RaceCategory::InterThread;

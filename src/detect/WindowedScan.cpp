@@ -644,10 +644,12 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     }
   }
   // Whether classification will run: decided at entry exactly like the
-  // batch detector (which constructs the conventional model up front);
-  // the construction itself is deferred to the commit phase so the
-  // scan runs with the overlay alone resident.
-  const bool WantConv = Options.Classify && !Report.Partial;
+  // batch detector; the model itself builds on the first inter-thread
+  // race of the commit phase, so the scan runs with the overlay alone
+  // resident.
+  std::optional<ConventionalOrder> Conv;
+  if (Options.Classify && !Report.Partial)
+    Conv.emplace(T, Index, Options.Hb);
 
   // Pass A: horizons and ordinals, no bodies.
   PrePassSink Pre;
@@ -749,7 +751,6 @@ RaceReport cafa::detectUseFreeRacesWindowed(
               return std::tie(A.UseOrd, A.FreeOrd) <
                      std::tie(B.UseOrd, B.FreeOrd);
             });
-  std::unique_ptr<HbIndex> ConvHb;
   std::map<StaticKey, size_t> Dedup;
   for (const WindowedDetectFrontier::SurvivorEntry &S : Scan.Survivors) {
     StaticKey Key{S.UseMethod, S.UsePc, S.FreeMethod, S.FreePc};
@@ -767,16 +768,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     if (S.SameLooper) {
       Race.Category = RaceCategory::IntraThread;
     } else {
-      if (WantConv && !ConvHb) {
-        // Deferred conventional model, BFS-backed: answers are
-        // oracle-independent and the query count is one per
-        // first-instance race, so the O(N^2) closure never builds.
-        HbOptions ConvOpts = Options.Hb;
-        ConvOpts.Model = OrderingModel::Conventional;
-        ConvOpts.Reach = ReachMode::Bfs;
-        ConvHb = std::make_unique<HbIndex>(T, Index, ConvOpts);
-      }
-      Race.Category = ConvHb && !ConvHb->ordered(S.UseRecord, S.FreeRecord)
+      Race.Category = Conv && !Conv->ordered(S.UseRecord, S.FreeRecord)
                           ? RaceCategory::Conventional
                           : RaceCategory::InterThread;
     }

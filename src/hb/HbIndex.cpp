@@ -7,13 +7,9 @@
 
 #include "hb/HbIndex.h"
 
-#include "support/WorkerPool.h"
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 using namespace cafa;
@@ -41,11 +37,14 @@ struct HbIndex::Builder {
   std::vector<std::vector<TaskId>> QueueEvents;
   /// Send operations per queue in record order.
   std::vector<std::vector<SendOp>> QueueSends;
+  /// Positions of the front-enqueued sends in QueueSends[Q], ascending.
+  std::vector<std::vector<uint32_t>> QueueFronts;
 
   Builder(const Trace &T, HbGraph &G, const HbOptions &Opt,
           HbRuleStats &Stats)
       : T(T), G(G), Opt(Opt), Stats(Stats),
-        QueueEvents(T.numQueues()), QueueSends(T.numQueues()) {}
+        QueueEvents(T.numQueues()), QueueSends(T.numQueues()),
+        QueueFronts(T.numQueues()) {}
 
   void collect() {
     for (uint32_t I = 0, E = static_cast<uint32_t>(T.numRecords()); I != E;
@@ -63,7 +62,11 @@ struct HbIndex::Builder {
         Op.Event = Rec.targetTask();
         Op.DelayMs = Rec.delayMs();
         Op.AtFront = Rec.Kind == OpKind::SendAtFront;
-        QueueSends[Rec.queue().index()].push_back(Op);
+        std::vector<SendOp> &Sends = QueueSends[Rec.queue().index()];
+        if (Op.AtFront)
+          QueueFronts[Rec.queue().index()].push_back(
+              static_cast<uint32_t>(Sends.size()));
+        Sends.push_back(Op);
       }
     }
   }
@@ -197,35 +200,42 @@ struct HbIndex::Builder {
     }
   }
 
-  uint64_t VisitAtom = 0, SkipAtom = 0, VisitSend = 0, SkipSend = 0;
-
-  /// Worker pool for the parallel analysis mode (HbOptions::Threads),
-  /// lent by HbIndex; nullptr or zero helpers means sequential rounds.
-  WorkerPool *Pool = nullptr;
-
   /// Per-round frozen context: the oracle (and its inline row array),
   /// the row-level change flags, and whether exact gained facts drive
-  /// this round.  Frozen for the whole round -- scans only read it --
-  /// which is what makes the per-queue scans safe to run concurrently.
+  /// this round.
   const Reachability *RoundOracle = nullptr;
   const BitVec *RoundRows = nullptr;
   const uint8_t *RoundChanged = nullptr;
   bool RoundExact = false;
 
-  /// Output and scratch of one scan unit (a dispatch chunk or one
-  /// queue's pair scan).  Parallel rounds give every unit its own
-  /// ScanOut and merge them in canonical order, so the committed
-  /// proposal stream, counters, and cursors never depend on which
-  /// thread ran what.  Covered[i] marks an adjacent conclusion
-  /// end(i) -> begin(i+1) that holds in the oracle or in this round's
-  /// proposals; Run[i] counts consecutive covered links starting at i.
+  /// Proposals and per-rule counters of a scan.  The round accumulates
+  /// into one; a queue's uncapped row-major scan writes into a second
+  /// so it can be dropped whole (see scanAtomQueue).
   struct ScanOut {
     std::vector<std::pair<NodeId, NodeId>> Edges;
     uint64_t Atomicity = 0, Q1 = 0, Q2 = 0, Q3 = 0, Q4 = 0;
-    uint64_t VisitAtom = 0, SkipAtom = 0, VisitSend = 0, SkipSend = 0;
-    std::vector<uint8_t> Covered;
-    std::vector<uint32_t> Run;
+
+    void clear() {
+      Edges.clear();
+      Atomicity = Q1 = Q2 = Q3 = Q4 = 0;
+    }
+    void append(const ScanOut &Src) {
+      Edges.insert(Edges.end(), Src.Edges.begin(), Src.Edges.end());
+      Atomicity += Src.Atomicity;
+      Q1 += Src.Q1;
+      Q2 += Src.Q2;
+      Q3 += Src.Q3;
+      Q4 += Src.Q4;
+    }
   };
+  ScanOut Side;
+
+  /// The current queue's gap-1 result.  Covered[i] marks an adjacent
+  /// conclusion end(i) -> begin(i+1) that holds in the oracle or in this
+  /// round's proposals; Run[i] counts consecutive covered links starting
+  /// at i.
+  std::vector<uint8_t> Covered;
+  std::vector<uint32_t> Run;
 
   /// Semi-naive scan frontier, one per queue and rule family.  Pairs are
   /// scanned in gap-diagonal order; everything lexicographically below
@@ -257,6 +267,16 @@ struct HbIndex::Builder {
   };
   std::vector<NodeRole> Roles;
   BitVec FactSources, FactTargets;
+
+  /// Word-parallel atomicity premises, built the first round whose
+  /// oracle exposes closure rows (Q*N/8 bytes, never more than the N^2/8
+  /// rows they filter).  EndMask[Q] holds the end nodes of queue Q's
+  /// events, for queues with at least two events; SingleEntryEnds holds
+  /// the end nodes of events that no cross-task edge enters except at
+  /// their begin node.
+  std::vector<BitVec> EndMask;
+  BitVec SingleEntryEnds;
+  bool HaveMasks = false;
 
   /// Fills Roles and the fact filter masks.  Call after collect() and
   /// addBaseEdges(), once the graph's node universe is final.
@@ -314,55 +334,51 @@ struct HbIndex::Builder {
     }
   }
 
-  /// One fixpoint round of the atomicity and event-queue rules.
-  ///
-  /// Pairs are scanned in gap-diagonal order (all adjacent pairs first,
-  /// then distance 2, ...) and each round caps the number of edges it
-  /// collects.  Both choices fight the same degenerate case: a chain of
-  /// k same-delay sends satisfies rule 1 for all k^2/2 pairs, but only
-  /// the k-1 adjacent edges carry information -- every wider pair is
-  /// implied by chaining them through program order.
-  ///
-  /// The chain structure is also what lets the scan prune: gap 1
-  /// records which adjacent conclusions are *covered* (already implied,
-  /// or proposed into this round's batch), and a wider pair whose whole
-  /// window is covered is skipped without a query -- its conclusion is
-  /// implied by the covered links, so proposing it would either be
-  /// rejected or insert a redundant edge.
-  ///
-  /// On top of that, rounds after the first are *semi-naive* when the
-  /// oracle reports deltas:
-  ///
-  ///  - \p Gained (exact mode) lists the premise-shaped reachability
-  ///    facts that became true in the last update.  Each fact is
-  ///    dispatched through Roles to the rule instances it can newly
-  ///    fire, and the already-seen region of every scan is skipped
-  ///    entirely -- a seen pair either fired when its premise first
-  ///    appeared (its conclusion is in the graph and propose() drops it
-  ///    as implied) or its premise has still never held.  Steady-state
-  ///    round cost collapses from quadratic pair re-scans to the
-  ///    dispatch of a shrinking fact list.
-  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
-  ///    keeps the scans but skips seen pairs whose premise-source rows
-  ///    did not grow.
-  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
-  ///    everything -- a from-scratch oracle cannot say what changed,
-  ///    which is precisely the engine gap bench/offline_scaling
-  ///    measures.
-  ///
-  /// Every skip is of a pair that provably proposes nothing new, so the
-  /// fixpoint -- and therefore every report -- is identical across
-  /// oracles; only time and memory differ.
-  ///
-  /// \returns the edges added this round (already inserted into the
-  /// graph), for the oracle's delta path.
-  // -- Scan primitives ---------------------------------------------------
-  // The historical sequential scan's lambdas, hoisted to members so the
-  // parallel mode can run the same code against per-task ScanOut
-  // buffers.  All of them read only the frozen round context and the
-  // pre-round cursors; the only mutation is into the ScanOut (and, for
-  // capped scans, a cursor write on a cap cut -- capped scans only ever
-  // run sequentially).
+  /// Builds EndMask and SingleEntryEnds.  An event is entered mid-body
+  /// by a cross-task edge into any node but its begin: join, wait,
+  /// listener-perform and IPC-receive nodes.  Every derived edge targets
+  /// a begin node, so once base edges (and a resume's replayed edges)
+  /// are in, the single-entry set never changes.
+  void buildPremiseMasks() {
+    size_t N = G.numNodes();
+    std::vector<uint8_t> MidEntry(T.numTasks(), 0);
+    for (uint32_t U = 0; U != N; ++U) {
+      TaskId From = G.taskOfNode(NodeId(U));
+      for (uint32_t V : G.successors(NodeId(U))) {
+        TaskId To = G.taskOfNode(NodeId(V));
+        if (To != From && NodeId(V) != G.beginNode(To))
+          MidEntry[To.index()] = 1;
+      }
+    }
+    EndMask.assign(QueueEvents.size(), BitVec());
+    SingleEntryEnds.resize(N);
+    for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
+      if (QueueEvents[Q].size() < 2)
+        continue;
+      EndMask[Q].resize(N);
+      for (TaskId Event : QueueEvents[Q]) {
+        NodeId End = G.endNode(Event);
+        if (!End.isValid())
+          continue;
+        EndMask[Q].set(End.index());
+        if (!MidEntry[Event.index()])
+          SingleEntryEnds.set(End.index());
+      }
+    }
+    HaveMasks = true;
+  }
+
+  /// The atomicity candidates of source event eI in word \p W of a
+  /// closure row: end nodes of eI's queue that begin(eI) reaches (the
+  /// premise begin(eI) < end(eJ)), minus those whose conclusion
+  /// end(eI) < begin(eJ) is already implied because eJ is single-entry
+  /// and end(eI) reaches end(eJ) -- a path into a single-entry event
+  /// passes its begin node, so propose() would drop the pair anyway.
+  uint64_t atomCandidates(uint32_t Q, NodeId BeginI, NodeId EndI,
+                          size_t W) const {
+    return RoundRows[BeginI.index()].word(W) & EndMask[Q].word(W) &
+           ~(RoundRows[EndI.index()].word(W) & SingleEntryEnds.word(W));
+  }
 
   bool reaches(NodeId From, NodeId To) const {
     // Pair scans issue millions of queries per round; closure-backed
@@ -390,11 +406,16 @@ struct HbIndex::Builder {
   // Run[i] = number of consecutive covered links starting at link i;
   // a window of Gap covered links implies the wide conclusion
   // end(i) -> begin(i+Gap) by chaining through program order.
-  static void computeRuns(ScanOut &Out, size_t K) {
-    Out.Run.assign(K - 1, 0);
+  void computeRuns(size_t K) {
+    Run.assign(K - 1, 0);
     for (size_t I = K - 1; I-- > 0;)
-      Out.Run[I] =
-          Out.Covered[I] ? (I + 1 < K - 1 ? Out.Run[I + 1] : 0) + 1 : 0;
+      Run[I] = Covered[I] ? (I + 1 < K - 1 ? Run[I + 1] : 0) + 1 : 0;
+  }
+
+  /// Smallest gap of a pair in row \p I whose evaluation an exact round
+  /// cannot skip: pairs below the cursor were evaluated before.
+  static size_t firstUnseenGap(const HbScanCursor &C, size_t I) {
+    return I < C.I ? size_t(C.Gap) + 1 : size_t(C.Gap);
   }
 
   /// Evaluates one ordered send pair against queue rules 1-4; the
@@ -450,20 +471,28 @@ struct HbIndex::Builder {
     return Gap < C.Gap || (Gap == C.Gap && I < C.I);
   }
 
-  /// Semi-naive dispatch over GainedList[Lo, Hi): route every premise
-  /// fact that appeared in the last oracle update to the already-seen
-  /// rule instances it can newly fire.  This stands in for re-scanning
-  /// the seen region of every queue.  Never capped (its volume is the
-  /// fact delta, not a pair quadratic), so parallel chunks of it commit
-  /// unconditionally.
-  void dispatchGained(const std::vector<GainedWord> &GainedList, size_t Lo,
-                      size_t Hi, ScanOut &Out) const {
-    for (size_t GI = Lo; GI != Hi; ++GI) {
-      const GainedWord &GW = GainedList[GI];
+  /// Semi-naive dispatch: route every premise fact that appeared in the
+  /// last oracle update to the already-seen rule instances it can newly
+  /// fire.  This stands in for re-scanning the seen region of every
+  /// queue.  Never capped: its volume is the fact delta, not a pair
+  /// quadratic.
+  void dispatchGained(const std::vector<GainedWord> &GainedList,
+                      ScanOut &Out) const {
+    for (const GainedWord &GW : GainedList) {
       const NodeRole &U = Roles[GW.From];
       if (U.K == NodeRole::None)
         continue;
-      for (uint64_t Bits = GW.Bits; Bits; Bits &= Bits - 1) {
+      uint64_t Bits = GW.Bits;
+      if (U.K == NodeRole::Begin && RoundRows) {
+        // Same word filter as the row-major scan, before unpacking: on
+        // app traces nearly every gained begin -> end fact is one whose
+        // conclusion the oracle already holds.
+        NodeId EndI = G.endNode(QueueEvents[U.Q][U.Pos]);
+        if (!Opt.EnableAtomicityRule || !EndI.isValid())
+          continue;
+        Bits &= atomCandidates(U.Q, NodeId(GW.From), EndI, GW.WordIdx);
+      }
+      for (; Bits; Bits &= Bits - 1) {
         uint32_t V =
             GW.WordIdx * 64 + static_cast<uint32_t>(__builtin_ctzll(Bits));
         const NodeRole &VR = Roles[V];
@@ -473,7 +502,6 @@ struct HbIndex::Builder {
               VR.Q == U.Q && VR.Pos > U.Pos &&
               pairSeen(AtomCursor[U.Q], QueueEvents[U.Q].size(),
                        VR.Pos - U.Pos, U.Pos)) {
-            ++Out.VisitAtom;
             const std::vector<TaskId> &Events = QueueEvents[U.Q];
             propose(Out, G.endNode(Events[U.Pos]),
                     G.beginNode(Events[VR.Pos]), Out.Atomicity);
@@ -482,43 +510,47 @@ struct HbIndex::Builder {
           // Queue-rule premise s1 < s2 just became true.
           if (VR.K == NodeRole::Send && VR.Q == U.Q && VR.Pos > U.Pos &&
               pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       VR.Pos - U.Pos, U.Pos)) {
-            ++Out.VisitSend;
+                       VR.Pos - U.Pos, U.Pos))
             evalSendPair(Out, QueueSends[U.Q][U.Pos],
                          QueueSends[U.Q][VR.Pos],
                          /*WantLink=*/false);
-          }
           // Rules 2/4 premise s2 < begin(e1) just became true, where
           // e1 was posted by an earlier send of the same queue.
           if (VR.SendQ == U.Q && U.Pos > VR.SendPos &&
               pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       U.Pos - VR.SendPos, VR.SendPos)) {
-            ++Out.VisitSend;
+                       U.Pos - VR.SendPos, VR.SendPos))
             evalSendPair(Out, QueueSends[U.Q][VR.SendPos],
                          QueueSends[U.Q][U.Pos],
                          /*WantLink=*/false);
-          }
         }
       }
     }
   }
 
-  /// One atomicity queue's gap-diagonal scan into \p Out.  \p Cap is
-  /// the per-round edge cap, compared against Out.Edges.size() (the
-  /// caller passes the round-global accumulator in capped mode); 0
-  /// disables it, which is how the optimistic parallel mode runs --
-  /// the commit step proves the cap could not have fired, or re-runs
-  /// capped.  \returns true when the scan completed (the caller then
-  /// marks the queue fully seen); a cap cut stores the cursor itself.
-  bool scanAtomQueue(size_t Qi, ScanOut &Out, size_t Cap) {
+  // -- Queue scans --------------------------------------------------------
+  //
+  // Each queue's scan has three parts.  Gap 1 evaluates adjacent pairs
+  // capped against the round and records the covered links; it runs in
+  // full every round (linear, and Covered must be fresh), and a cap cut
+  // there leaves the tail uncovered, which is safe.  The wider pairs are
+  // then tried row-major and uncapped into Side.  Its output is kept
+  // when the round stays under the cap: the capped gap-diagonal walk
+  // could then never have cut, and it would have proposed the same
+  // pairs in another order -- which the sorted, deduplicated batch
+  // cannot tell apart.  Otherwise Side is dropped and the capped walk
+  // runs, so the derived edges, counters and cursors never depend on
+  // which path ran.  Young fixpoints hit the cap (rounds stay small, so
+  // the oracle learns a chain's adjacent edges before the wide pairs are
+  // asked); steady-state rounds take the row-major path.
+
+  /// Scans one atomicity queue for this round into \p Main.  \returns
+  /// true when the scan completed (the caller marks the queue fully
+  /// seen); a cap cut stores the cursor itself.
+  bool scanAtomQueue(size_t Qi, ScanOut &Main, size_t Cap) {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
     const size_t K = Events.size();
-    auto chunkFull = [&] { return Cap && Out.Edges.size() >= Cap; };
-    // Gap 1: evaluate adjacent pairs and record the covered links.
-    // Runs in full every round (linear, and Covered must be fresh);
-    // a cap cut here leaves the tail uncovered, which is safe.
-    Out.Covered.assign(K - 1, 0);
-    for (size_t I = 0; I + 1 < K && !chunkFull(); ++I) {
+    Covered.assign(K - 1, 0);
+    for (size_t I = 0; I + 1 < K && Main.Edges.size() < Cap; ++I) {
       NodeId BeginI = G.beginNode(Events[I]);
       NodeId EndI = G.endNode(Events[I]);
       NodeId EndJ = G.endNode(Events[I + 1]);
@@ -528,17 +560,79 @@ struct HbIndex::Builder {
       if (BeginI.isValid() && EndJ.isValid() && BeginJ.isValid() &&
           reaches(BeginI, EndJ)) {
         // Atomicity: begin(eI) < end(eJ)  =>  end(eI) < begin(eJ).
-        propose(Out, EndI, BeginJ, Out.Atomicity);
+        propose(Main, EndI, BeginJ, Main.Atomicity);
         Link |= EndI.isValid(); // implied before, or in the batch now
       }
-      Out.Covered[I] = Link;
+      Covered[I] = Link;
     }
-    computeRuns(Out, K);
-    if (K >= 2 && Out.Run[0] == K - 1)
+    computeRuns(K);
+    if (Run[0] == K - 1)
       // Every wider conclusion is implied by the covered chain, now
       // and forever (edges are never removed) -- the whole queue
       // counts as seen.
       return true;
+    if (Main.Edges.size() < Cap) {
+      Side.clear();
+      if (atomRows(Qi, Side, Cap - Main.Edges.size())) {
+        Main.append(Side);
+        return true;
+      }
+    }
+    return atomGapDiagonal(Qi, Main, Cap);
+  }
+
+  /// Row-major, uncapped scan of one atomicity queue's pairs at gap >= 2
+  /// into \p Out.  Gives up (false) once \p Out holds \p Limit
+  /// proposals.  With closure rows, row I's premises are answered a
+  /// word at a time (atomCandidates) and only surviving bits reach the
+  /// per-pair filters; row-less oracles walk the pairs.
+  bool atomRows(size_t Qi, ScanOut &Out, size_t Limit) {
+    const std::vector<TaskId> &Events = QueueEvents[Qi];
+    const size_t K = Events.size();
+    const HbScanCursor C = AtomCursor[Qi];
+    for (size_t I = 0; I + 2 < K; ++I) {
+      NodeId BeginI = G.beginNode(Events[I]);
+      NodeId EndI = G.endNode(Events[I]);
+      if (!BeginI.isValid() || !EndI.isValid())
+        continue; // no premise, or nothing to order
+      // Pairs within the covered run are implied.  Pairs an earlier
+      // round evaluated are skipped by an exact round; a coarse round
+      // re-evaluates them only if begin(eI)'s row grew.
+      size_t First = std::max<size_t>(2, size_t(Run[I]) + 1);
+      if (RoundExact || !rowChanged(BeginI))
+        First = std::max(First, firstUnseenGap(C, I));
+      if (I + First >= K)
+        continue;
+      if (RoundRows) {
+        for (size_t W = BeginI.index() >> 6,
+                    WE = RoundRows[BeginI.index()].numWords();
+             W != WE; ++W)
+          for (uint64_t Bits = atomCandidates(static_cast<uint32_t>(Qi),
+                                              BeginI, EndI, W);
+               Bits; Bits &= Bits - 1) {
+            uint32_t J = Roles[W * 64 + __builtin_ctzll(Bits)].Pos;
+            if (J >= I + First)
+              propose(Out, EndI, G.beginNode(Events[J]), Out.Atomicity);
+          }
+      } else {
+        for (size_t J = I + First; J < K; ++J) {
+          NodeId EndJ = G.endNode(Events[J]);
+          NodeId BeginJ = G.beginNode(Events[J]);
+          if (EndJ.isValid() && BeginJ.isValid() && reaches(BeginI, EndJ))
+            propose(Out, EndI, BeginJ, Out.Atomicity);
+        }
+      }
+      if (Out.Edges.size() >= Limit)
+        return false;
+    }
+    return Out.Edges.size() < Limit;
+  }
+
+  /// The capped gap-diagonal walk over one atomicity queue's pairs at
+  /// gap >= 2, after its gap-1 pass.
+  bool atomGapDiagonal(size_t Qi, ScanOut &Out, size_t Cap) {
+    const std::vector<TaskId> &Events = QueueEvents[Qi];
+    const size_t K = Events.size();
     // With exact fact dispatch the seen region needs no re-scan at
     // all -- resume where the cap last cut.  Otherwise walk it with
     // the coarse row-level skip.
@@ -546,27 +640,22 @@ struct HbIndex::Builder {
     for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
       for (size_t I = (RoundExact && Gap == CGap) ? CI : 0; I + Gap < K;
            ++I) {
-        if (Out.Run[I] >= Gap) {
-          ++Out.SkipAtom;
+        if (Run[I] >= Gap)
           continue; // conclusion implied by chained covered links
-        }
         size_t J = I + Gap;
         NodeId BeginI = G.beginNode(Events[I]);
         bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && I < CI));
         if (Seen) {
           // The only premise query sources from begin(eI); if its
           // row did not grow, the pair evaluates as it did before.
-          if (!rowChanged(BeginI)) {
-            ++Out.SkipAtom;
+          if (!rowChanged(BeginI))
             continue;
-          }
-        } else if (chunkFull()) {
+        } else if (Out.Edges.size() >= Cap) {
           // Everything past the cursor stays unseen.
           AtomCursor[Qi] = {static_cast<uint32_t>(Gap),
                             static_cast<uint32_t>(I)};
           return false;
         }
-        ++Out.VisitAtom;
         NodeId EndI = G.endNode(Events[I]);
         NodeId EndJ = G.endNode(Events[J]);
         NodeId BeginJ = G.beginNode(Events[J]);
@@ -580,32 +669,73 @@ struct HbIndex::Builder {
     return true;
   }
 
-  /// One send queue's gap-diagonal scan into \p Out; same cap and
-  /// return contract as scanAtomQueue.
-  bool scanSendQueue(size_t Qi, ScanOut &Out, size_t Cap) {
+  /// Scans one send queue for this round into \p Main; same contract
+  /// as scanAtomQueue.
+  bool scanSendQueue(size_t Qi, ScanOut &Main, size_t Cap) {
     const std::vector<SendOp> &Sends = QueueSends[Qi];
     const size_t K = Sends.size();
-    auto chunkFull = [&] { return Cap && Out.Edges.size() >= Cap; };
-    // Gap 1: evaluate adjacent pairs and record the covered links.
-    Out.Covered.assign(K - 1, 0);
-    for (size_t A = 0; A + 1 < K && !chunkFull(); ++A)
-      Out.Covered[A] =
-          evalSendPair(Out, Sends[A], Sends[A + 1], /*WantLink=*/true);
-    computeRuns(Out, K);
-    if (K >= 2 && Out.Run[0] == K - 1) {
+    Covered.assign(K - 1, 0);
+    for (size_t A = 0; A + 1 < K && Main.Edges.size() < Cap; ++A)
+      Covered[A] =
+          evalSendPair(Main, Sends[A], Sends[A + 1], /*WantLink=*/true);
+    computeRuns(K);
+    if (Run[0] == K - 1 && QueueFronts[Qi].empty())
       // Every wider rule-1/3 conclusion is implied by the covered
       // chain, and the reverse-direction rules 2/4 need a
       // front-enqueued s2.  A queue with no front sends is therefore
       // fully implied, now and forever (edges are never removed, and
-      // AtFront is a static property of the send) -- without this the
-      // gap loop below walks K^2/2 pairs just to skip each one, which
-      // is the quadratic wall on long single-poster queues.
-      bool AnyFront = false;
-      for (const SendOp &S : Sends)
-        AnyFront |= S.AtFront;
-      if (!AnyFront)
+      // AtFront is a static property of the send).
+      return true;
+    if (Main.Edges.size() < Cap) {
+      Side.clear();
+      if (sendRows(Qi, Side, Cap - Main.Edges.size())) {
+        Main.append(Side);
         return true;
+      }
     }
+    return sendGapDiagonal(Qi, Main, Cap);
+  }
+
+  /// Row-major, uncapped scan of one send queue's pairs at gap >= 2;
+  /// same contract as atomRows.  A covered window implies the forward
+  /// conclusion of rules 1 and 3, so inside it only front-enqueued s2
+  /// (rules 2 and 4, reverse conclusion) are visited.
+  bool sendRows(size_t Qi, ScanOut &Out, size_t Limit) {
+    const std::vector<SendOp> &Sends = QueueSends[Qi];
+    const std::vector<uint32_t> &Fronts = QueueFronts[Qi];
+    const size_t K = Sends.size();
+    const HbScanCursor C = SendCursor[Qi];
+    for (size_t A = 0; A + 2 < K; ++A) {
+      const SendOp &S1 = Sends[A];
+      // Seen pairs: skipped by an exact round; a coarse round
+      // re-evaluates one if s1's or s2's post-node row grew.
+      size_t Unseen = firstUnseenGap(C, A);
+      bool S1Changed = !RoundExact && rowChanged(S1.Node);
+      auto Visit = [&](size_t Gap) {
+        const SendOp &S2 = Sends[A + Gap];
+        if (Gap < Unseen &&
+            (RoundExact || (!S1Changed && !rowChanged(S2.Node))))
+          return;
+        evalSendPair(Out, S1, S2, /*WantLink=*/false);
+      };
+      size_t Lo = RoundExact ? std::max<size_t>(2, Unseen) : 2;
+      size_t Past = std::max(Lo, size_t(Run[A]) + 1);
+      for (auto It = std::lower_bound(Fronts.begin(), Fronts.end(), A + Lo);
+           It != Fronts.end() && *It < A + Past; ++It)
+        Visit(*It - A);
+      for (size_t Gap = Past; A + Gap < K; ++Gap)
+        Visit(Gap);
+      if (Out.Edges.size() >= Limit)
+        return false;
+    }
+    return Out.Edges.size() < Limit;
+  }
+
+  /// The capped gap-diagonal walk over one send queue's pairs at
+  /// gap >= 2, after its gap-1 pass.
+  bool sendGapDiagonal(size_t Qi, ScanOut &Out, size_t Cap) {
+    const std::vector<SendOp> &Sends = QueueSends[Qi];
+    const size_t K = Sends.size();
     const size_t CGap = SendCursor[Qi].Gap, CI = SendCursor[Qi].I;
     for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
       for (size_t A = (RoundExact && Gap == CGap) ? CI : 0; A + Gap < K;
@@ -615,182 +745,123 @@ struct HbIndex::Builder {
         // A covered window implies the forward conclusion of rules
         // 1 and 3; only a front-enqueued s2 (rules 2 and 4, reverse
         // conclusion) still needs evaluating.
-        if (Out.Run[A] >= Gap && !S2.AtFront) {
-          ++Out.SkipSend;
+        if (Run[A] >= Gap && !S2.AtFront)
           continue;
-        }
         bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && A < CI));
         if (Seen) {
           // Every premise query sources from s1's or s2's post node;
           // if neither row grew, the pair evaluates as before.
-          if (!rowChanged(S1.Node) && !rowChanged(S2.Node)) {
-            ++Out.SkipSend;
+          if (!rowChanged(S1.Node) && !rowChanged(S2.Node))
             continue;
-          }
-        } else if (chunkFull()) {
+        } else if (Out.Edges.size() >= Cap) {
           // Everything past the cursor stays unseen.
           SendCursor[Qi] = {static_cast<uint32_t>(Gap),
                             static_cast<uint32_t>(A)};
           return false;
         }
-        ++Out.VisitSend;
         evalSendPair(Out, S1, S2, /*WantLink=*/false);
       }
     }
     return true;
   }
 
+  /// One fixpoint round of the atomicity and event-queue rules.
+  ///
+  /// Pairs are scanned in gap-diagonal order (all adjacent pairs first,
+  /// then distance 2, ...) and each round caps the number of edges it
+  /// collects.  Both choices fight the same degenerate case: a chain of
+  /// k same-delay sends satisfies rule 1 for all k^2/2 pairs, but only
+  /// the k-1 adjacent edges carry information -- every wider pair is
+  /// implied by chaining them through program order.  (A round that
+  /// stays under the cap may visit the wider pairs in any order; see
+  /// the queue scans above.)
+  ///
+  /// The chain structure is also what lets the scan prune: gap 1
+  /// records which adjacent conclusions are *covered* (already implied,
+  /// or proposed into this round's batch), and a wider pair whose whole
+  /// window is covered is skipped without a query -- its conclusion is
+  /// implied by the covered links, so proposing it would either be
+  /// rejected or insert a redundant edge.
+  ///
+  /// On top of that, rounds after the first are *semi-naive* when the
+  /// oracle reports deltas:
+  ///
+  ///  - \p Gained (exact mode) lists the premise-shaped reachability
+  ///    facts that became true in the last update.  Each fact is
+  ///    dispatched through Roles to the rule instances it can newly
+  ///    fire, and the already-seen region of every scan is skipped
+  ///    entirely -- a seen pair either fired when its premise first
+  ///    appeared (its conclusion is in the graph and propose() drops it
+  ///    as implied) or its premise has still never held.  Steady-state
+  ///    round cost collapses from quadratic pair re-scans to the
+  ///    dispatch of a shrinking fact list.
+  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
+  ///    keeps the scans but skips seen pairs whose premise-source rows
+  ///    did not grow.
+  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
+  ///    everything -- a from-scratch oracle cannot say what changed,
+  ///    which is precisely the engine gap bench/offline_scaling
+  ///    measures.
+  ///
+  /// Every skip is of a pair that provably proposes nothing new, so the
+  /// fixpoint -- and therefore every report -- is identical across
+  /// oracles; only time and memory differ.  \p Time receives the
+  /// round's scan timings and the graph-insertion share of its update.
+  ///
+  /// \returns the edges added this round (already inserted into the
+  /// graph), for the oracle's delta path.
   std::vector<HbEdge>
   applyDerivedRules(const Reachability &Oracle, const uint8_t *ChangedRows,
-                    const std::vector<GainedWord> *Gained) {
+                    const std::vector<GainedWord> *Gained,
+                    HbRoundTiming &Time) {
     // Keep rounds small: the incremental oracle makes a round-boundary
     // refresh cheap, and the sooner the oracle reflects a chain's
     // adjacent edges, the more wide-gap pairs the next scan skips as
     // implied -- tighter rounds insert strictly fewer redundant edges.
     const size_t ChunkCap = G.numNodes() / 8 + 1024;
 
-    // Freeze the round context.  Scans only read it (plus the pre-round
-    // cursors), which is what makes per-queue scans independent: each
-    // queue's proposal stream depends on the frozen oracle and its own
-    // cursor only, never on another queue's proposals in this round.
     RoundOracle = &Oracle;
     RoundRows = Oracle.rowsOrNull();
     RoundChanged = ChangedRows;
     RoundExact = Gained != nullptr;
+    if (RoundRows && !HaveMasks && Opt.EnableAtomicityRule)
+      buildPremiseMasks();
     if (Opt.EnableAtomicityRule && AtomCursor.size() != QueueEvents.size())
       AtomCursor.assign(QueueEvents.size(), {});
     if (Opt.EnableQueueRules && SendCursor.size() != QueueSends.size())
       SendCursor.assign(QueueSends.size(), {});
 
+    auto Lap = [Start = std::chrono::steady_clock::now()]() mutable {
+      auto Now = std::chrono::steady_clock::now();
+      double Ms = std::chrono::duration<double, std::milli>(Now - Start)
+                      .count();
+      Start = Now;
+      return Ms;
+    };
+
     // A queue participates this round unless exact fact dispatch covers
-    // it (fully seen).
-    auto runsAtom = [&](size_t Qi) {
-      size_t K = QueueEvents[Qi].size();
-      return K >= 2 && !(RoundExact && AtomCursor[Qi].Gap >= K);
-    };
-    auto runsSend = [&](size_t Qi) {
-      size_t K = QueueSends[Qi].size();
-      return K >= 2 && !(RoundExact && SendCursor[Qi].Gap >= K);
-    };
-    auto mergeScan = [](ScanOut &Dst, const ScanOut &Src) {
-      Dst.Edges.insert(Dst.Edges.end(), Src.Edges.begin(), Src.Edges.end());
-      Dst.Atomicity += Src.Atomicity;
-      Dst.Q1 += Src.Q1;
-      Dst.Q2 += Src.Q2;
-      Dst.Q3 += Src.Q3;
-      Dst.Q4 += Src.Q4;
-      Dst.VisitAtom += Src.VisitAtom;
-      Dst.SkipAtom += Src.SkipAtom;
-      Dst.VisitSend += Src.VisitSend;
-      Dst.SkipSend += Src.SkipSend;
-    };
-
-    // Main accumulates the round: committed proposals in canonical
-    // (dispatch, atom queues ascending, send queues ascending) order --
-    // exactly the sequential emission order -- plus the counters.
+    // it (fully seen).  The round accumulates in canonical order:
+    // dispatch, atomicity queues ascending, send queues ascending.
     ScanOut Main;
-
-    // The parallel mode needs concurrency-safe queries:
-    // Reachability::reaches may mutate per-oracle scratch (BFS, and the
-    // chain oracle's search phase), so only oracles answering from
-    // immutable state -- closure rows or frozen chain clocks -- are safe
-    // to query from many threads.
-    bool Parallel = Pool && Pool->helperThreads() > 0 &&
-                    (RoundRows || RoundOracle->concurrentQueriesSafe());
-    if (!Parallel) {
-      if (Gained)
-        dispatchGained(*Gained, 0, Gained->size(), Main);
-      if (Opt.EnableAtomicityRule)
-        for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
-          if (runsAtom(Qi) && scanAtomQueue(Qi, Main, ChunkCap))
-            AtomCursor[Qi] = {static_cast<uint32_t>(QueueEvents[Qi].size()),
-                              0};
-      if (Opt.EnableQueueRules)
-        for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
-          if (runsSend(Qi) && scanSendQueue(Qi, Main, ChunkCap))
-            SendCursor[Qi] = {static_cast<uint32_t>(QueueSends[Qi].size()),
-                              0};
-    } else {
-      // Optimistic parallel round: run every scan unit uncapped and
-      // concurrently (cursors are frozen -- nothing writes them until
-      // commit), then commit the per-unit buffers sequentially in
-      // canonical order.  A queue is accepted verbatim when even its
-      // full uncapped output keeps the round strictly under the cap:
-      // the capped sequential scan would then never have seen
-      // chunkFull() fire, so the buffers are bit-for-bit what it
-      // produces.  From the first queue where the cap could have
-      // fired, fall back to the real capped sequential scan (the
-      // cheap case: the cap only fires while the fixpoint is young).
-      enum Kind : uint8_t { Dispatch, Atom, Send };
-      struct Unit {
-        Kind K;
-        size_t Index; // queue index, or dispatch chunk begin
-        size_t End;   // dispatch chunk end
-        ScanOut Out;
-      };
-      std::vector<Unit> Units;
-      if (Gained && !Gained->empty()) {
-        size_t Threads = Pool->helperThreads() + 1;
-        size_t Chunk = std::max<size_t>(
-            (Gained->size() + Threads - 1) / Threads, 64);
-        for (size_t Lo = 0; Lo < Gained->size(); Lo += Chunk)
-          Units.push_back(
-              {Dispatch, Lo, std::min(Lo + Chunk, Gained->size()), {}});
+    if (Gained)
+      dispatchGained(*Gained, Main);
+    Time.DispatchMillis = Lap();
+    if (Opt.EnableAtomicityRule)
+      for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi) {
+        size_t K = QueueEvents[Qi].size();
+        if (K >= 2 && !(RoundExact && AtomCursor[Qi].Gap >= K) &&
+            scanAtomQueue(Qi, Main, ChunkCap))
+          AtomCursor[Qi] = {static_cast<uint32_t>(K), 0};
       }
-      if (Opt.EnableAtomicityRule)
-        for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
-          if (runsAtom(Qi))
-            Units.push_back({Atom, Qi, 0, {}});
-      if (Opt.EnableQueueRules)
-        for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
-          if (runsSend(Qi))
-            Units.push_back({Send, Qi, 0, {}});
-
-      Pool->parallelFor(Units.size(), [&](size_t UI) {
-        Unit &U = Units[UI];
-        switch (U.K) {
-        case Dispatch:
-          dispatchGained(*Gained, U.Index, U.End, U.Out);
-          break;
-        case Atom:
-          scanAtomQueue(U.Index, U.Out, /*Cap=*/0);
-          break;
-        case Send:
-          scanSendQueue(U.Index, U.Out, /*Cap=*/0);
-          break;
-        }
-      });
-
-      bool Fallback = false;
-      for (Unit &U : Units) {
-        if (U.K == Dispatch) {
-          // Dispatch has no cap checks; its chunks always commit.
-          mergeScan(Main, U.Out);
-          continue;
-        }
-        size_t K = U.K == Atom ? QueueEvents[U.Index].size()
-                               : QueueSends[U.Index].size();
-        if (!Fallback && Main.Edges.size() + U.Out.Edges.size() < ChunkCap) {
-          mergeScan(Main, U.Out);
-          (U.K == Atom ? AtomCursor : SendCursor)[U.Index] = {
-              static_cast<uint32_t>(K), 0};
-          continue;
-        }
-        Fallback = true;
-        if (U.K == Atom) {
-          if (scanAtomQueue(U.Index, Main, ChunkCap))
-            AtomCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-        } else {
-          if (scanSendQueue(U.Index, Main, ChunkCap))
-            SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-        }
+    Time.AtomicityMillis = Lap();
+    if (Opt.EnableQueueRules)
+      for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi) {
+        size_t K = QueueSends[Qi].size();
+        if (K >= 2 && !(RoundExact && SendCursor[Qi].Gap >= K) &&
+            scanSendQueue(Qi, Main, ChunkCap))
+          SendCursor[Qi] = {static_cast<uint32_t>(K), 0};
       }
-    }
-
-    VisitAtom += Main.VisitAtom;
-    SkipAtom += Main.SkipAtom;
-    VisitSend += Main.VisitSend;
-    SkipSend += Main.SkipSend;
+    Time.QueueMillis = Lap();
 
     // Apply the batch (dedup first: atomicity and queue rules can derive
     // the same event-level edge).
@@ -819,6 +890,7 @@ struct HbIndex::Builder {
     Stats.QueueRule2Edges += Main.Q2;
     Stats.QueueRule3Edges += Main.Q3;
     Stats.QueueRule4Edges += Main.Q4;
+    Time.UpdateMillis = Lap();
     return Batch;
   }
 };
@@ -827,23 +899,13 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
                  const HbOptions &Options, const HbCheckpointing *Checkpoint)
     : T(T), Index(Index),
       Graph(std::make_unique<HbGraph>(T, Index)) {
-  bool Profile = std::getenv("CAFA_HB_PROFILE") != nullptr;
   auto Now = [] { return std::chrono::steady_clock::now(); };
   auto Ms = [](auto A, auto B) {
     return std::chrono::duration<double, std::milli>(B - A).count();
   };
 
   auto TGraph = Now();
-  // Parallel analysis mode: Threads-1 helpers (the constructing thread
-  // participates in every parallelFor), shared by the oracle's
-  // column-strip sweeps and the rule engine's queue scans.  Thread
-  // count is purely a wall-clock knob; reports stay bit-identical
-  // (docs/robustness.md, "Parallel analysis").
-  unsigned Threads = resolveAnalysisThreads(Options.Threads);
-  Pool = std::make_unique<WorkerPool>(Threads > 1 ? Threads - 1 : 0);
-
   Builder B(T, *Graph, Options, Stats);
-  B.Pool = Pool.get();
   B.collect();
   B.addBaseEdges();
 
@@ -882,8 +944,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         Options.MemLimitBytes && RowFloorBytes > Options.MemLimitBytes;
     if (!CannotFit) {
       ++Degrade.ProbedRungs;
-      Reach =
-          makeReachability(*Graph, Mode, Options.MemLimitBytes, Pool.get());
+      Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes);
       if (!Reach->budgetExceeded() || Mode == ReachMode::Bfs)
         break;
     }
@@ -894,11 +955,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   Degrade.DowngradedForMemory = Mode != Degrade.RequestedReach;
   Degrade.UsedReach = Mode;
   Degrade.MeasuredReachBytes = Reach->memoryBytes();
-  auto TInit = Now();
-  if (Profile)
-    std::fprintf(stderr, "graph+base=%.1fms init=%.1fms nodes=%zu edges=%zu\n",
-                 Ms(TGraph, TBase), Ms(TBase, TInit), Graph->numNodes(),
-                 Graph->numEdges());
+  Timing.OracleInitMillis = Ms(TBase, Now());
 
   // Syncs everything but the edges (which accumulate live) into Kept so
   // exportFrontier() can freeze a consistent snapshot at any boundary.
@@ -952,26 +1009,18 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         break;
       }
       ++Stats.FixpointRounds;
-      auto T0 = Now();
+      HbRoundTiming &Time = Timing.Rounds.emplace_back();
       std::vector<HbEdge> Delta =
-          B.applyDerivedRules(*Reach, ChangedRows, Gained);
-      auto T1 = Now();
+          B.applyDerivedRules(*Reach, ChangedRows, Gained, Time);
       if (Delta.empty()) {
         Converged = true;
-        if (Profile)
-          std::fprintf(stderr,
-                       "round %u: empty scan=%.1fms atom=%llu/%llu "
-                       "send=%llu/%llu\n",
-                       Round, Ms(T0, T1),
-                       (unsigned long long)B.VisitAtom,
-                       (unsigned long long)B.SkipAtom,
-                       (unsigned long long)B.VisitSend,
-                       (unsigned long long)B.SkipSend);
         break;
       }
       // Delta protocol: the graph already holds this round's edges; the
       // oracle either folds them in incrementally or rebuilds.
+      auto TUpdate = Now();
       Reach->addEdges(Delta);
+      Time.UpdateMillis += Ms(TUpdate, Now());
       ChangedRows = Reach->changedRows();
       Gained = Reach->gainedWords();
       Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
@@ -985,17 +1034,6 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         SyncKept();
         Checkpoint->Save(exportFrontier());
       }
-      auto T2 = Now();
-      if (Profile)
-        std::fprintf(stderr,
-                     "round %u: delta=%zu scan=%.1fms update=%.1fms "
-                     "atom=%llu/%llu send=%llu/%llu facts=%zu\n",
-                     Round, Delta.size(), Ms(T0, T1), Ms(T1, T2),
-                     (unsigned long long)B.VisitAtom,
-                     (unsigned long long)B.SkipAtom,
-                     (unsigned long long)B.VisitSend,
-                     (unsigned long long)B.SkipSend,
-                     Gained ? Gained->size() : size_t(0));
     }
     if (!Converged) {
       // The cut relation is missing edges from exactly the rule families

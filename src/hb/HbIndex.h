@@ -45,8 +45,6 @@
 
 namespace cafa {
 
-class WorkerPool;
-
 /// Which causality model to build.
 enum class OrderingModel : uint8_t {
   /// The paper's event-aware model.
@@ -88,13 +86,14 @@ struct HbOptions {
   /// candidates, never hide one -- and degradation().DeadlineExceeded
   /// is set so downstream reports get flagged partial.  0 = off.
   double DeadlineMillis = 0;
-  /// Analysis worker threads (the --analysis-threads knob): closure row
-  /// sweeps, rule-premise scans, and the detector's pair scan fan out
-  /// across this many threads.  0 = auto: the CAFA_ANALYSIS_THREADS
-  /// environment variable if set, else hardware concurrency.  Purely a
-  /// wall-clock knob -- every thread count produces bit-identical
-  /// reports (docs/robustness.md, "Parallel analysis"), which is also
-  /// why the checkpoint options digest excludes it.
+  /// Analysis worker threads (the --analysis-threads knob): the
+  /// detector's pair scan and the confirm replays fan out across this
+  /// many threads.  The happens-before build itself always runs on one
+  /// thread.  0 = auto: the CAFA_ANALYSIS_THREADS environment variable
+  /// if set, else hardware concurrency.  Purely a wall-clock knob --
+  /// every thread count produces bit-identical reports
+  /// (docs/robustness.md, "Parallel analysis"), which is also why the
+  /// checkpoint options digest excludes it.
   unsigned Threads = 0;
 };
 
@@ -149,6 +148,26 @@ struct HbRuleStats {
   uint64_t QueueRule4Edges = 0;
   uint64_t ConventionalOrderEdges = 0;
   uint32_t FixpointRounds = 0;
+};
+
+/// Wall time of one derived-rule fixpoint round, by phase.
+struct HbRoundTiming {
+  /// Semi-naive dispatch of the facts the last oracle update gained.
+  double DispatchMillis = 0;
+  /// Atomicity premise scans over every queue's events.
+  double AtomicityMillis = 0;
+  /// Event-queue rule (1-4) scans over every queue's sends.
+  double QueueMillis = 0;
+  /// Committing the round's edges: graph insertion and oracle update.
+  double UpdateMillis = 0;
+};
+
+/// Where one HbIndex construction spent its time, beyond the total the
+/// caller measures: the oracle's initial build, then every fixpoint
+/// round this construction ran (a resumed build lists only its own).
+struct HbTimings {
+  double OracleInitMillis = 0;
+  std::vector<HbRoundTiming> Rounds;
 };
 
 /// Scan-frontier position of one queue's gap-diagonal pair scan: every
@@ -236,6 +255,9 @@ public:
   /// What the degradation ladder did (oracle downgrade, blown deadline).
   const HbDegradation &degradation() const { return Degrade; }
 
+  /// Oracle build and per-round phase timings of this construction.
+  const HbTimings &timings() const { return Timing; }
+
   /// True when the derived-rule fixpoint ran to convergence (also true
   /// when no fixpoint was needed, e.g. the conventional model).  False
   /// exactly when the deadline rung cut it short.
@@ -271,14 +293,10 @@ private:
   const Trace &T;
   const TaskIndex &Index;
   std::unique_ptr<HbGraph> Graph;
-  /// Worker pool for the parallel analysis mode (HbOptions::Threads):
-  /// shared by the oracle's column-strip sweeps and the rule engine's
-  /// queue scans.  Holds Threads-1 helpers (the constructing thread
-  /// participates); with 1 thread it is a no-op shell.
-  std::unique_ptr<WorkerPool> Pool;
   std::unique_ptr<Reachability> Reach;
   HbRuleStats Stats;
   HbDegradation Degrade;
+  HbTimings Timing;
   /// Live frontier: derived edges accumulate as rounds commit, cursors
   /// and counters are synced at every save point and at the end of
   /// construction.

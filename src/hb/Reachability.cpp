@@ -8,7 +8,6 @@
 #include "hb/Reachability.h"
 
 #include "support/Resolve.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -20,116 +19,21 @@ using namespace cafa;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Column-strip parallel sweeps
-//===----------------------------------------------------------------------===//
-//
-// Both closure oracles run the same reverse-topological row sweep: node
-// I absorbs {S} union row(S) for each successor S, and because ids
-// ascend in trace order every absorbed row is already final.  The sweep
-// parallelizes by *columns*, not rows: partition the word range
-// [0, WordsPerRow) into contiguous strips and give each worker the
-// complete descending row loop restricted to its strip.  Words of
-// row(S) inside strip T are only ever written by worker T, and worker
-// T finalizes them before reaching row I < S -- so no worker ever reads
-// a word another worker may still write, and each strip independently
-// maintains the closure invariant over its own columns.  The union of
-// the strips is, word for word, the sequential sweep's output: the
-// parallel path is bit-identical by construction, not by tolerance.
-
-/// Number of column strips for a sweep: caller + helpers, clamped so
-/// every strip holds at least two words, and 1 (sequential) for small
-/// matrices where fork/join overhead would dominate.
-unsigned stripCount(const WorkerPool *Pool, size_t NumNodes,
-                    size_t WordsPerRow) {
-  if (!Pool || Pool->helperThreads() == 0 || NumNodes < 128)
-    return 1;
-  size_t K = static_cast<size_t>(Pool->helperThreads()) + 1;
-  if (K > WordsPerRow / 2)
-    K = WordsPerRow / 2;
-  return K < 2 ? 1u : static_cast<unsigned>(K);
-}
-
-/// Load-balanced strip boundaries (K+1 cuts, Cuts[0]=0,
-/// Cuts[K]=WordsPerRow).  The union for an edge with head S touches
-/// words [S>>6, WordsPerRow), so the load on word W is the number of
-/// edge heads at or below it (plus a constant clear/scan floor); cuts
-/// equalize the per-strip load sum.
-std::vector<size_t> computeWordStrips(const HbGraph &G, size_t WordsPerRow,
-                                      unsigned K) {
-  std::vector<uint64_t> Heads(WordsPerRow, 0);
-  for (size_t I = 0, N = G.numNodes(); I != N; ++I)
-    for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I))))
-      ++Heads[S >> 6];
-  std::vector<uint64_t> Load(WordsPerRow);
-  uint64_t Acc = 0, Total = 0;
-  for (size_t W = 0; W != WordsPerRow; ++W) {
-    Acc += Heads[W];
-    Load[W] = Acc + 1;
-    Total += Load[W];
-  }
-  std::vector<size_t> Cuts;
-  Cuts.reserve(K + 1);
-  Cuts.push_back(0);
-  uint64_t Cum = 0;
-  for (size_t W = 0; W + 1 < WordsPerRow && Cuts.size() != K; ++W) {
-    Cum += Load[W];
-    size_t NextCut = Cuts.size(); // boundary index about to be placed
-    size_t WordsLeft = WordsPerRow - (W + 1);
-    size_t CutsLeft = K - NextCut;
-    // Cut when this strip carries its share, or when every remaining
-    // word is needed to give the remaining strips one word each.
-    if (WordsLeft == CutsLeft ||
-        static_cast<double>(Cum) * K >= static_cast<double>(Total) * NextCut)
-      Cuts.push_back(W + 1);
-  }
-  Cuts.push_back(WordsPerRow);
-  return Cuts;
-}
-
-/// One strip's share of a full closure rebuild: clear then re-derive
-/// words [Lo, Hi) of every row, in descending row order.
-void refreshRowsStrip(const HbGraph &G, std::vector<BitVec> &Rows, size_t Lo,
-                      size_t Hi) {
+/// Full rebuild of a closure row matrix, shared by both closure oracles.
+/// Node ids ascend in trace-record order and every edge points forward,
+/// so descending node id is a reverse topological order: successors'
+/// rows are final when a node is processed.  A row holds only bits
+/// above its own node, so each union can start at the successor's word.
+void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows) {
   for (BitVec &Row : Rows)
-    Row.clearWords(Lo, Hi);
+    Row.clear();
   for (size_t I = G.numNodes(); I-- > 0;) {
     BitVec &Row = Rows[I];
     for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I)))) {
-      size_t SW = S >> 6;
-      if (SW >= Hi)
-        continue; // this edge only touches higher strips
-      if (SW >= Lo)
-        Row.set(S);
-      Row.orWithRange(Rows[S], SW > Lo ? SW : Lo, Hi);
+      Row.set(S);
+      Row.orWithFrom(Rows[S], S);
     }
   }
-}
-
-/// Full rebuild, parallel across column strips when the pool and matrix
-/// size allow, else the classic sequential sweep.  Shared by both
-/// closure oracles (identical output either way).
-void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows,
-                 WorkerPool *Pool) {
-  size_t N = G.numNodes();
-  size_t WordsPerRow = N ? Rows.front().numWords() : 0;
-  unsigned K = stripCount(Pool, N, WordsPerRow);
-  if (K <= 1) {
-    for (BitVec &Row : Rows)
-      Row.clear();
-    for (size_t I = N; I-- > 0;) {
-      BitVec &Row = Rows[I];
-      for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I)))) {
-        Row.set(S);
-        Row.orWithFrom(Rows[S], S);
-      }
-    }
-    return;
-  }
-  std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
-  Pool->parallelFor(K, [&](size_t T) {
-    refreshRowsStrip(G, Rows, Cuts[T], Cuts[T + 1]);
-  });
 }
 
 /// Budget-tracked allocation of one N x N row matrix.  Counts each row
@@ -170,13 +74,7 @@ bool ClosureReachability::allocateRows() {
 void ClosureReachability::refresh() {
   if (!allocateRows())
     return; // budget exceeded: the ladder discards this oracle
-  // Node ids ascend in trace-record order and every edge points forward,
-  // so descending node id is a reverse topological order: successors'
-  // rows are final when a node is processed.  A row holds only bits
-  // above its own node, so each union can start at the successor's word.
-  // With a pool installed the sweep splits into column strips
-  // (bit-identical; see the strip helpers above).
-  refreshRows(G, Rows, Pool);
+  refreshRows(G, Rows);
 }
 
 size_t ClosureReachability::memoryBytes() const {
@@ -212,9 +110,7 @@ bool IncrementalClosureReachability::allocateRows() {
 void IncrementalClosureReachability::refresh() {
   if (!allocateRows())
     return; // budget exceeded: the ladder discards this oracle
-  // Same reverse-topological sweep as the full closure (column-strip
-  // parallel when a pool is installed).
-  refreshRows(G, Rows, Pool);
+  refreshRows(G, Rows);
   KnownEdges = G.numEdges();
   // A full rebuild loses track of which rows changed and which facts
   // appeared.
@@ -256,44 +152,6 @@ void IncrementalClosureReachability::addEdges(
   Dirty.assign(G.numNodes(), 0);
   if (Collect && SnapRow.size() != G.numNodes())
     SnapRow.resize(G.numNodes());
-
-  size_t WordsPerRow = Rows.empty() ? 0 : Rows.front().numWords();
-  unsigned K = stripCount(Pool, G.numNodes(), WordsPerRow);
-  if (K > 1) {
-    // Column-strip parallel delta sweep.  Each strip runs the complete
-    // descending sweep over its own words with strip-local dirty flags:
-    // a successor dirty only in *other* strips has unchanged words in
-    // this strip, already contained by the closure invariant, so
-    // skipping its re-absorb is a no-op -- every strip's words come out
-    // exactly as the sequential sweep leaves them.  Dirty flags merge
-    // by OR; gained words merge by the sequential emission order (rows
-    // descending, words ascending -- the (From, WordIdx) keys are
-    // unique across strips).
-    std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
-    Strips.resize(K);
-    for (StripScratch &SS : Strips) {
-      SS.Dirty.assign(G.numNodes(), 0);
-      if (Collect && SS.Snap.size() != G.numNodes())
-        SS.Snap.resize(G.numNodes());
-      SS.Gained.clear();
-    }
-    Pool->parallelFor(K, [&](size_t T) {
-      sweepStrip(Strips[T], Cuts[T], Cuts[T + 1], MaxFrom, Collect);
-    });
-    for (const StripScratch &SS : Strips) {
-      for (size_t I = 0; I <= MaxFrom; ++I)
-        Dirty[I] |= SS.Dirty[I];
-      Gained.insert(Gained.end(), SS.Gained.begin(), SS.Gained.end());
-    }
-    std::sort(Gained.begin(), Gained.end(),
-              [](const GainedWord &A, const GainedWord &B) {
-                if (A.From != B.From)
-                  return B.From < A.From;
-                return A.WordIdx < B.WordIdx;
-              });
-    DirtyValid = true;
-    return;
-  }
 
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
@@ -349,64 +207,6 @@ void IncrementalClosureReachability::addEdges(
   DirtyValid = true;
 }
 
-void IncrementalClosureReachability::sweepStrip(StripScratch &SS, size_t Lo,
-                                                size_t Hi, uint32_t MaxFrom,
-                                                bool Collect) {
-  size_t Next = 0;
-  for (uint32_t I = MaxFrom + 1; I-- > 0;) {
-    BitVec &Row = Rows[I];
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Strip-local snapshot decision: this strip's words of row I can
-    // only change through a batch edge from I (whose OR may reach into
-    // this strip) or a successor dirty *in this strip*.
-    bool Snap = false;
-    size_t RowLo = static_cast<size_t>(I >> 6);
-    size_t SnapLo = RowLo > Lo ? RowLo : Lo;
-    if (Collect && SrcMask.test(I) && SnapLo < Hi) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (SS.Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        SS.Snap.assignRange(Row, SnapLo, Hi);
-        Snap = true;
-      }
-    }
-    bool Changed = false;
-    for (; Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-         ++Next) {
-      uint32_t To = SortedBatch[Next].To.value();
-      assert(To > I && "HB edges must point forward in trace order");
-      size_t TW = To >> 6;
-      if (TW >= Hi)
-        continue; // lands entirely in higher strips
-      if (TW >= Lo && !Row.test(To)) {
-        Row.set(To);
-        Changed = true;
-      }
-      Changed |= Row.orWithRange(Rows[To], TW > Lo ? TW : Lo, Hi);
-    }
-    for (uint32_t S : G.successors(NodeId(I)))
-      if (SS.Dirty[S]) {
-        size_t SW = S >> 6;
-        if (SW < Hi)
-          Changed |= Row.orWithRange(Rows[S], SW > Lo ? SW : Lo, Hi);
-      }
-    SS.Dirty[I] = Changed;
-    if (Snap && Changed) {
-      for (size_t W = SnapLo; W != Hi; ++W) {
-        uint64_t D = (Row.word(W) ^ SS.Snap.word(W)) & TgtMask.word(W);
-        if (D)
-          SS.Gained.push_back({I, static_cast<uint32_t>(W), D});
-      }
-    }
-  }
-}
-
 size_t IncrementalClosureReachability::memoryBytes() const {
   size_t Total = 0;
   for (const BitVec &Row : Rows)
@@ -414,9 +214,6 @@ size_t IncrementalClosureReachability::memoryBytes() const {
   Total += Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge);
   Total += SrcMask.memoryBytes() + TgtMask.memoryBytes() +
            SnapRow.memoryBytes() + Gained.capacity() * sizeof(GainedWord);
-  for (const StripScratch &SS : Strips)
-    Total += SS.Dirty.capacity() + SS.Snap.memoryBytes() +
-             SS.Gained.capacity() * sizeof(GainedWord);
   return Total;
 }
 
@@ -533,9 +330,8 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
 // ChainReachability
 //===----------------------------------------------------------------------===//
 
-ChainReachability::ChainReachability(const HbGraph &G, size_t BudgetBytes,
-                                     WorkerPool *Pool)
-    : G(G), Budget(BudgetBytes), Search(G), Pool(Pool) {
+ChainReachability::ChainReachability(const HbGraph &G, size_t BudgetBytes)
+    : G(G), Budget(BudgetBytes), Search(G) {
   refresh();
 }
 
@@ -564,7 +360,7 @@ void ChainReachability::maybeBootstrap() {
     return;
   }
   if (!Boot) {
-    Boot = std::make_unique<IncrementalClosureReachability>(G, 0, Pool);
+    Boot = std::make_unique<IncrementalClosureReachability>(G);
     if (HasFilter)
       Boot->setFactFilter(SrcMask, TgtMask);
   } else {
@@ -854,22 +650,20 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
 
 std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
                                                      ReachMode Mode,
-                                                     size_t BudgetBytes,
-                                                     WorkerPool *Pool) {
+                                                     size_t BudgetBytes) {
   switch (resolveReachMode(Mode)) {
   case ReachMode::Closure:
-    return std::make_unique<ClosureReachability>(G, BudgetBytes, Pool);
+    return std::make_unique<ClosureReachability>(G, BudgetBytes);
   case ReachMode::Bfs:
     // No precomputed state: nothing to budget, nothing to sweep.
     return std::make_unique<BfsReachability>(G);
   case ReachMode::Chain:
-    return std::make_unique<ChainReachability>(G, BudgetBytes, Pool);
+    return std::make_unique<ChainReachability>(G, BudgetBytes);
   case ReachMode::Incremental:
   case ReachMode::Auto: // resolveReachMode never returns Auto
     break;
   }
-  return std::make_unique<IncrementalClosureReachability>(G, BudgetBytes,
-                                                          Pool);
+  return std::make_unique<IncrementalClosureReachability>(G, BudgetBytes);
 }
 
 const char *cafa::reachModeName(ReachMode Mode) {

@@ -46,8 +46,6 @@
 
 namespace cafa {
 
-class WorkerPool;
-
 /// One happens-before edge, as handed to the delta-aware oracle path.
 struct HbEdge {
   NodeId From;
@@ -140,10 +138,10 @@ public:
   virtual void addEdges(std::span<const HbEdge> Edges) { refresh(); }
 
   /// Returns the closure row array (indexed by node id) if this oracle
-  /// precomputes one, else nullptr.  The rule engine's pair scans issue
-  /// millions of queries per round; testing a row bit inline instead of
-  /// making a virtual reaches() call per pair is a measurable win, and
-  /// non-closure oracles simply keep the virtual path.
+  /// precomputes one, else nullptr.  The rule engine answers atomicity
+  /// premises a 64-bit word at a time straight from these rows and tests
+  /// single facts inline instead of making a virtual reaches() call per
+  /// pair; non-closure oracles keep the per-pair virtual path.
   virtual const BitVec *rowsOrNull() const { return nullptr; }
 
   /// Returns per-node flags (indexed by node id) marking the rows whose
@@ -191,21 +189,14 @@ public:
   /// The default covers the closure oracles: an immutable row matrix is
   /// safe to read concurrently.  BfsReachability overrides to false
   /// (per-query scratch); ChainReachability answers by phase (clock
-  /// lookups are safe, its search fallback is not).  HbIndex's rule
-  /// engine and the detector's parallel pair scan gate on this.
+  /// lookups are safe, its search fallback is not).  The detector's
+  /// parallel pair scan gates on this.
   virtual bool concurrentQueriesSafe() const { return rowsOrNull() != nullptr; }
 
   /// Chains in the oracle's current decomposition (0 for oracles that
   /// do not decompose).  Informational: surfaces in HbDegradation for
   /// the scaling benches' chain-count statistics.
   virtual size_t chainCount() const { return 0; }
-
-  /// Lends a worker pool for the duration of the oracle's life (nullptr
-  /// detaches).  Closure-based oracles use it to run refresh()/addEdges()
-  /// row sweeps as column strips across the pool -- bit-identical to the
-  /// sequential sweep by construction (see docs/hb-reachability.md).
-  /// Oracles without precomputed state ignore the call.
-  virtual void setWorkerPool(WorkerPool * /*Pool*/) {}
 };
 
 /// Bitset transitive closure, rebuilt from scratch on refresh().
@@ -214,13 +205,11 @@ public:
 /// allocation: rows are counted as they are allocated and the build
 /// aborts (budgetExceeded()) the moment the running total passes the
 /// budget -- the adaptive-degradation ladder probes actual footprints
-/// instead of trusting estimateReachabilityMemory().  \p Pool, when set,
-/// is installed before the initial build (see setWorkerPool).
+/// instead of trusting estimateReachabilityMemory().
 class ClosureReachability final : public Reachability {
 public:
-  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                               WorkerPool *Pool = nullptr)
-      : G(G), Budget(BudgetBytes), Pool(Pool) {
+  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0)
+      : G(G), Budget(BudgetBytes) {
     refresh();
   }
 
@@ -231,7 +220,6 @@ public:
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
   bool budgetExceeded() const override { return Exceeded; }
-  void setWorkerPool(WorkerPool *P) override { Pool = P; }
 
   /// Direct row access for cache-friendly pair scans in the rule engine.
   const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
@@ -245,7 +233,6 @@ private:
   std::vector<BitVec> Rows;
   size_t Budget = 0;
   bool Exceeded = false;
-  WorkerPool *Pool = nullptr;
 };
 
 /// Bitset transitive closure maintained incrementally.
@@ -272,16 +259,15 @@ private:
 ///    clean-node scan is cheap.
 class IncrementalClosureReachability final : public Reachability {
 public:
-  /// BudgetBytes/Pool: same contract as ClosureReachability.  The
+  /// BudgetBytes: same contract as ClosureReachability.  The
   /// budgeted build allocates the delta-tracking extras (dirty flags,
   /// snapshot row, fact-filter masks) eagerly so the measured footprint
   /// covers what a fixpoint run will actually commit, keeping the
   /// measured ladder strictly above the plain closure's -- the same
   /// ordering the static estimates promise.
   explicit IncrementalClosureReachability(const HbGraph &G,
-                                          size_t BudgetBytes = 0,
-                                          WorkerPool *Pool = nullptr)
-      : G(G), Budget(BudgetBytes), Pool(Pool) {
+                                          size_t BudgetBytes = 0)
+      : G(G), Budget(BudgetBytes) {
     refresh();
   }
 
@@ -305,7 +291,6 @@ public:
   const std::vector<GainedWord> *gainedWords() const override {
     return FactsValid ? &Gained : nullptr;
   }
-  void setWorkerPool(WorkerPool *P) override { Pool = P; }
 
   /// Direct row access (same contract as ClosureReachability::row).
   const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
@@ -314,20 +299,6 @@ private:
   /// Sizes the rows and delta-tracking extras under the budget; false
   /// (with Exceeded set) when they do not fit.  Idempotent.
   bool allocateRows();
-
-  /// Per-strip scratch for the column-parallel delta sweep: strip-local
-  /// dirty flags ("this strip's words of row n grew"), a strip-local
-  /// snapshot row, the strip's gained-word list, all merged
-  /// deterministically after the round barrier.
-  struct StripScratch {
-    std::vector<uint8_t> Dirty;
-    BitVec Snap;
-    std::vector<GainedWord> Gained;
-  };
-
-  /// One strip's share of the delta sweep: words [Lo, Hi) of every row.
-  void sweepStrip(StripScratch &SS, size_t Lo, size_t Hi, uint32_t MaxFrom,
-                  bool Collect);
 
   const HbGraph &G;
   std::vector<BitVec> Rows;
@@ -352,8 +323,6 @@ private:
   std::vector<GainedWord> Gained;
   bool FactsValid = false;
   BitVec SnapRow;
-  WorkerPool *Pool = nullptr;
-  std::vector<StripScratch> Strips;
 };
 
 /// On-demand search with per-task pruning: a visit to node n of task t
@@ -444,12 +413,11 @@ public:
   /// million-event graphs into the frugal O(N) tier.
   static constexpr size_t MaxBootstrapBytes = 64ull << 20;
 
-  /// BudgetBytes/Pool: same contract as ClosureReachability, with one
+  /// BudgetBytes: same contract as ClosureReachability, with one
   /// refinement: a budget that admits the linear structures but not the
   /// clock matrix keeps the oracle usable in its search phase instead of
   /// aborting -- budgetExceeded() fires only when even O(N) does not fit.
-  explicit ChainReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                             WorkerPool *Pool = nullptr);
+  explicit ChainReachability(const HbGraph &G, size_t BudgetBytes = 0);
 
   bool reaches(NodeId From, NodeId To) const override;
   void refresh() override;
@@ -487,11 +455,6 @@ public:
     return ClocksValid || Boot != nullptr;
   }
   size_t chainCount() const override { return NumChains; }
-  void setWorkerPool(WorkerPool *P) override {
-    Pool = P;
-    if (Boot)
-      Boot->setWorkerPool(P);
-  }
 
   /// True once the clock matrix is live (the exact-delta phase).  Tests
   /// assert this so a policy regression cannot silently demote the
@@ -549,18 +512,15 @@ private:
   /// released the moment the clocks commit.  Invariant: Boot is null
   /// whenever ClocksValid.
   std::unique_ptr<IncrementalClosureReachability> Boot;
-  WorkerPool *Pool = nullptr;
 };
 
 /// Creates the oracle selected by \p Mode.  \p BudgetBytes, when
 /// nonzero, bounds what a closure-based oracle may allocate (the build
 /// aborts into budgetExceeded() instead of overshooting); BFS carries no
 /// precomputed state and ignores the budget -- it is the ladder's floor.
-/// \p Pool is lent to the oracle before its initial build.
 std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
                                                ReachMode Mode,
-                                               size_t BudgetBytes = 0,
-                                               WorkerPool *Pool = nullptr);
+                                               size_t BudgetBytes = 0);
 
 /// Returns a stable lowercase name for \p Mode ("incremental", "closure",
 /// "chain", "bfs", "auto"), for CLI flags and degradation diagnostics.

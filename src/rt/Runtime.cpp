@@ -12,28 +12,30 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 using namespace cafa;
 
 namespace {
 
-/// Host busy-work sink shared by all runtimes; volatile so the loop in
-/// spinWork() cannot be optimized away.
-volatile uint64_t SpinSink = 0x9E3779B97F4A7C15ull;
+/// Host busy-work sink shared by all runtimes; the store keeps the loop
+/// in spinWork() from being optimized away.  Atomic because confirm
+/// replays run runtimes on several threads at once.
+std::atomic<uint64_t> SpinSink{0x9E3779B97F4A7C15ull};
 
 /// Burns \p Units iterations of xorshift work on the host CPU.  This
 /// models the interpreter + application cost an uninstrumented run pays,
 /// giving the instrumented/uninstrumented CPU ratio (Figure 8) a
 /// realistic denominator.
 void spinWork(uint32_t Units) {
-  uint64_t X = SpinSink;
+  uint64_t X = SpinSink.load(std::memory_order_relaxed);
   for (uint32_t I = 0; I != Units; ++I) {
     X ^= X << 13;
     X ^= X >> 7;
     X ^= X << 17;
   }
-  SpinSink = X;
+  SpinSink.store(X, std::memory_order_relaxed);
 }
 
 /// One interpreter frame.

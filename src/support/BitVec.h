@@ -110,40 +110,6 @@ public:
                 (Words.size() - W) * 8);
   }
 
-  /// Clears backing words [\p LoWord, \p HiWord).  Used by the
-  /// column-strip parallel closure sweep, where each worker owns a
-  /// contiguous word range of every row.
-  void clearWords(size_t LoWord, size_t HiWord) {
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    std::memset(Words.data() + LoWord, 0, (HiWord - LoWord) * 8);
-  }
-
-  /// ORs \p Other's backing words [\p LoWord, \p HiWord) into this
-  /// vector.  Universe sizes must match.  \returns true if any bit in
-  /// the range changed.
-  bool orWithRange(const BitVec &Other, size_t LoWord, size_t HiWord) {
-    assert(NumBits == Other.NumBits && "universe size mismatch");
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    uint64_t Changed = 0;
-    for (size_t I = LoWord; I != HiWord; ++I) {
-      uint64_t Old = Words[I];
-      uint64_t New = Old | Other.Words[I];
-      Words[I] = New;
-      Changed |= Old ^ New;
-    }
-    return Changed != 0;
-  }
-
-  /// Copies \p Other's backing words [\p LoWord, \p HiWord) over this
-  /// vector's, leaving words outside the range untouched.  Universe
-  /// sizes must match.
-  void assignRange(const BitVec &Other, size_t LoWord, size_t HiWord) {
-    assert(NumBits == Other.NumBits && "universe size mismatch");
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    std::memcpy(Words.data() + LoWord, Other.Words.data() + LoWord,
-                (HiWord - LoWord) * 8);
-  }
-
   /// Returns true if this vector and \p Other share any set bit.
   bool anyCommon(const BitVec &Other) const {
     assert(NumBits == Other.NumBits && "universe size mismatch");

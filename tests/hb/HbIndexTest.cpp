@@ -343,4 +343,144 @@ TEST(HbIndexTest, RecordsWithoutRelevantNeighborsUnordered) {
   EXPECT_FALSE(Hb.ordered(R1, R2));
 }
 
+/// An event entered mid-body: eJ's wait (or join) node is fed from eI's
+/// side, so end(eI) reaches end(eJ) without reaching begin(eJ).  The
+/// word-parallel premise scan drops a pair as implied only for
+/// single-entry events; here it must keep it, and atomicity must derive
+/// end(eI) -> begin(eJ) under every oracle, row-backed or not.
+TEST(HbIndexTest, AtomicityOrdersAMidEntryEventUnderEveryOracle) {
+  for (bool ViaJoin : {false, true}) {
+    SCOPED_TRACE(ViaJoin ? "join" : "wait");
+    TraceBuilder TB;
+    QueueId Q = TB.addQueue("main");
+    QueueId Other = TB.addQueue("other");
+    // eI and X are external, so the external-input rule chains
+    // end(eI) -> begin(X); X then feeds eJ's middle.  eM sits between
+    // eI and eJ on the looper, so the pair is a gap-2 pair: the
+    // word-parallel scan, not the adjacent-pair pass, decides it.
+    TaskId EI = TB.addEvent("eI", Q, 0, false, true);
+    TaskId EM = TB.addEvent("eM", Q);
+    TaskId X = TB.addEvent("x", Other, 0, false, true);
+    TaskId EJ = TB.addEvent("eJ", Q);
+    TaskId Th = TB.addThread("th");
+    TB.begin(EI).end(EI);
+    TB.begin(EM).end(EM);
+    TB.begin(X);
+    if (ViaJoin)
+      TB.fork(X, Th).end(X).begin(Th).end(Th);
+    else
+      TB.notify(X, 7).end(X);
+    TB.begin(EJ);
+    if (ViaJoin)
+      TB.join(EJ, Th);
+    else
+      TB.wait(EJ, 7);
+    TB.end(EJ);
+    Trace T = TB.take();
+    TaskIndex Index(T);
+    for (ReachMode Mode :
+         {ReachMode::Incremental, ReachMode::Chain, ReachMode::Bfs}) {
+      SCOPED_TRACE(reachModeName(Mode));
+      HbOptions Opt;
+      Opt.Reach = Mode;
+      HbIndex Hb = build(T, Index, Opt);
+      const HbGraph &G = Hb.graph();
+      EXPECT_EQ(Hb.ruleStats().AtomicityEdges, 1u);
+      EXPECT_TRUE(Hb.taskOrdered(EI, EJ));
+      EXPECT_FALSE(Hb.taskOrdered(EI, EM));
+      ASSERT_EQ(Hb.exportFrontier().DerivedEdges.size(), 1u);
+      EXPECT_EQ(Hb.exportFrontier().DerivedEdges[0].From, G.endNode(EI));
+      EXPECT_EQ(Hb.exportFrontier().DerivedEdges[0].To, G.beginNode(EJ));
+    }
+  }
+}
+
+/// Two self-posting chains interleaved on one looper: a0 b0 a1 b1 ...,
+/// where every event posts its chain's successor.  No adjacent pair has
+/// a premise, and every gap-2 pair (a_i, a_i+1) does, so round 0's
+/// atomicity proposals exceed the per-round cap (numNodes()/8 + 1024):
+/// the uncapped row-major attempt must give way to the capped walk,
+/// and every oracle must still derive the same edges in the same rounds
+/// with the same cursors.
+TEST(HbIndexTest, AtomicityProposalsOverTheRoundCapMatchAcrossOracles) {
+  constexpr uint32_t PerChain = 1200;
+  TraceBuilder TB;
+  QueueId Q = TB.addQueue("main");
+  TaskId Root = TB.addThread("root");
+  std::vector<TaskId> A, B;
+  for (uint32_t I = 0; I != PerChain; ++I) {
+    A.push_back(TB.addEvent("a" + std::to_string(I), Q));
+    B.push_back(TB.addEvent("b" + std::to_string(I), Q));
+  }
+  TB.begin(Root).send(Root, A[0]).send(Root, B[0]).end(Root);
+  for (uint32_t I = 0; I != PerChain; ++I)
+    for (const std::vector<TaskId> *Chain : {&A, &B}) {
+      TaskId E = (*Chain)[I];
+      TB.begin(E);
+      if (I + 1 != PerChain)
+        TB.send(E, (*Chain)[I + 1]);
+      TB.end(E);
+    }
+  Trace T = TB.take();
+  TaskIndex Index(T);
+
+  struct Run {
+    HbFrontier First; // after round 1
+    HbFrontier Final;
+  };
+  auto runUnder = [&](ReachMode Mode) {
+    HbOptions Opt;
+    Opt.Reach = Mode;
+    Opt.EnableQueueRules = false; // isolate atomicity
+    Run R;
+    bool Saved = false;
+    HbCheckpointing Ck;
+    Ck.EveryMillis = 1e-9; // every round boundary
+    Ck.Save = [&](const HbFrontier &F) {
+      if (!Saved)
+        R.First = F;
+      Saved = true;
+    };
+    HbIndex Hb(T, Index, Opt, &Ck);
+    EXPECT_TRUE(Hb.saturated());
+    EXPECT_TRUE(Hb.taskOrdered(A[0], A[PerChain - 1]));
+    EXPECT_TRUE(Hb.taskOrdered(B[0], B[PerChain - 1]));
+    EXPECT_FALSE(Hb.taskOrdered(A[0], B[0]));
+    R.Final = Hb.exportFrontier();
+    // Round 1 was cut by the cap at gap 2, mid-queue, holding exactly
+    // the cap's worth of edges.
+    const size_t Cap = Hb.graph().numNodes() / 8 + 1024;
+    EXPECT_EQ(Cap, 1924u);
+    EXPECT_EQ(R.First.DerivedEdges.size(), Cap);
+    EXPECT_EQ(R.First.AtomCursors[Q.index()].Gap, 2u);
+    EXPECT_EQ(R.First.AtomCursors[Q.index()].I, 1924u);
+    // The pinned derivation: every a_i -> a_i+1 and b_i -> b_i+1, plus
+    // the wider pairs a cut round proposes before the oracle holds the
+    // adjacent ones, in three rounds.
+    EXPECT_EQ(R.Final.Stats.AtomicityEdges, 3848u);
+    EXPECT_EQ(R.Final.Stats.FixpointRounds, 3u);
+    return R;
+  };
+  Run Ref = runUnder(ReachMode::Incremental);
+  for (ReachMode Mode : {ReachMode::Closure, ReachMode::Chain}) {
+    SCOPED_TRACE(reachModeName(Mode));
+    Run R = runUnder(Mode);
+    for (const HbFrontier *F : {&R.First, &R.Final}) {
+      const HbFrontier &E = F == &R.First ? Ref.First : Ref.Final;
+      EXPECT_EQ(F->Stats.AtomicityEdges, E.Stats.AtomicityEdges);
+      EXPECT_EQ(F->Stats.FixpointRounds, E.Stats.FixpointRounds);
+      ASSERT_EQ(F->DerivedEdges.size(), E.DerivedEdges.size());
+      for (size_t I = 0; I != E.DerivedEdges.size(); ++I) {
+        EXPECT_EQ(F->DerivedEdges[I].From, E.DerivedEdges[I].From);
+        EXPECT_EQ(F->DerivedEdges[I].To, E.DerivedEdges[I].To);
+      }
+      ASSERT_EQ(F->AtomCursors.size(), E.AtomCursors.size());
+      for (size_t I = 0; I != E.AtomCursors.size(); ++I) {
+        EXPECT_EQ(F->AtomCursors[I].Gap, E.AtomCursors[I].Gap);
+        EXPECT_EQ(F->AtomCursors[I].I, E.AtomCursors[I].I);
+      }
+    }
+  }
+}
+
 } // namespace

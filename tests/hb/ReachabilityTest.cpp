@@ -17,7 +17,6 @@
 #include "hb/HbIndex.h"
 
 #include "support/Rng.h"
-#include "support/WorkerPool.h"
 #include "trace/TraceBuilder.h"
 #include "trace/Validate.h"
 
@@ -177,11 +176,7 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
   HbIndex HbInc(T, Index, IncOpt);
   HbOptions ChainOpt;
   ChainOpt.Reach = ReachMode::Chain;
-  ChainOpt.Threads = 1;
   HbIndex HbChain(T, Index, ChainOpt);
-  HbOptions ChainOpt4 = ChainOpt;
-  ChainOpt4.Threads = 4; // pooled rule scans over frozen chain clocks
-  HbIndex HbChain4(T, Index, ChainOpt4);
 
   Rng R(GetParam() ^ 0xABCDEF);
   uint32_t N = static_cast<uint32_t>(T.numRecords());
@@ -195,8 +190,6 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
     EXPECT_EQ(Expected, HbInc.happensBefore(A, B))
         << "records " << A << " -> " << B;
     EXPECT_EQ(Expected, HbChain.happensBefore(A, B))
-        << "records " << A << " -> " << B;
-    EXPECT_EQ(Expected, HbChain4.happensBefore(A, B))
         << "records " << A << " -> " << B;
   }
 }
@@ -241,7 +234,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReachabilityPropertyTest,
 /// refresh() rebuilds.  After every batch all four oracles must agree
 /// on reaches(u, v) -- the closures and the chain clocks exhaustively,
 /// the BFS on a sample -- and the chain oracle's delta stream must be
-/// element-wise identical to the incremental closure's.
+/// element-wise identical to the incremental closure's.  Over the same
+/// trace, the rule engine's two premise paths -- closure-row words
+/// (Incremental) and per-pair queries (Bfs) -- must derive the same
+/// edges in the same order, with the same counters and scan cursors.
 class IncrementalDifferentialTest : public testing::TestWithParam<uint64_t> {
 };
 
@@ -250,6 +246,38 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   Trace T = randomTrace(Seed * 7919 + 17, 150);
   ASSERT_TRUE(validateTrace(T).ok());
   TaskIndex Index(T);
+  {
+    HbOptions WordOpt, PairOpt;
+    WordOpt.Reach = ReachMode::Incremental;
+    PairOpt.Reach = ReachMode::Bfs;
+    HbIndex Word(T, Index, WordOpt);
+    HbIndex Pair(T, Index, PairOpt);
+    const HbFrontier &W = Word.exportFrontier(), &P = Pair.exportFrontier();
+    ASSERT_EQ(W.DerivedEdges.size(), P.DerivedEdges.size()) << "seed " << Seed;
+    for (size_t I = 0; I != W.DerivedEdges.size(); ++I) {
+      ASSERT_EQ(W.DerivedEdges[I].From, P.DerivedEdges[I].From)
+          << "seed " << Seed << " edge " << I;
+      ASSERT_EQ(W.DerivedEdges[I].To, P.DerivedEdges[I].To)
+          << "seed " << Seed << " edge " << I;
+    }
+    const HbRuleStats &SW = Word.ruleStats(), &SP = Pair.ruleStats();
+    EXPECT_EQ(SW.AtomicityEdges, SP.AtomicityEdges) << "seed " << Seed;
+    EXPECT_EQ(SW.QueueRule1Edges, SP.QueueRule1Edges) << "seed " << Seed;
+    EXPECT_EQ(SW.QueueRule2Edges, SP.QueueRule2Edges) << "seed " << Seed;
+    EXPECT_EQ(SW.QueueRule3Edges, SP.QueueRule3Edges) << "seed " << Seed;
+    EXPECT_EQ(SW.QueueRule4Edges, SP.QueueRule4Edges) << "seed " << Seed;
+    EXPECT_EQ(SW.FixpointRounds, SP.FixpointRounds) << "seed " << Seed;
+    auto SameCursors = [&](const std::vector<HbScanCursor> &A,
+                           const std::vector<HbScanCursor> &B) {
+      ASSERT_EQ(A.size(), B.size()) << "seed " << Seed;
+      for (size_t I = 0; I != A.size(); ++I) {
+        EXPECT_EQ(A[I].Gap, B[I].Gap) << "seed " << Seed << " queue " << I;
+        EXPECT_EQ(A[I].I, B[I].I) << "seed " << Seed << " queue " << I;
+      }
+    };
+    SameCursors(W.AtomCursors, P.AtomCursors);
+    SameCursors(W.SendCursors, P.SendCursors);
+  }
   HbGraph G(T, Index); // program-order chains only
 
   ClosureReachability Closure(G);
@@ -486,89 +514,5 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
     }
   }
 }
-
-/// Parallel column-strip parity: the pooled refresh()/addEdges() sweeps
-/// must be bit-identical to the sequential ones -- same rows, same dirty
-/// flags, and the same gained-word stream in the same order (the rule
-/// engine's scan order feeds off it, so "same set, different order"
-/// would not be good enough).
-class StripParityTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
-  uint64_t Seed = GetParam();
-  Trace T = randomTrace(Seed * 104729 + 31, 200);
-  ASSERT_TRUE(validateTrace(T).ok());
-  TaskIndex Index(T);
-  HbGraph GSeq(T, Index);
-  HbGraph GPar(T, Index);
-
-  WorkerPool Pool(3); // 4-way sweeps
-  IncrementalClosureReachability Seq(GSeq);
-  IncrementalClosureReachability Par(GPar);
-  Par.setWorkerPool(&Pool);
-
-  uint32_t N = static_cast<uint32_t>(GSeq.numNodes());
-  ASSERT_GT(N, 1u);
-  BitVec AllNodes(N);
-  for (uint32_t I = 0; I != N; ++I)
-    AllNodes.set(I);
-  Seq.setFactFilter(AllNodes, AllNodes);
-  Par.setFactFilter(AllNodes, AllNodes);
-
-  Rng R(Seed ^ 0x9E3779B9ull);
-  for (int Batch = 0; Batch != 5; ++Batch) {
-    std::vector<HbEdge> Edges;
-    for (size_t I = 0, E = 1 + R.below(10); I != E; ++I) {
-      uint32_t A = static_cast<uint32_t>(R.below(N));
-      uint32_t B = static_cast<uint32_t>(R.below(N));
-      if (A == B)
-        continue;
-      if (A > B)
-        std::swap(A, B);
-      GSeq.addEdge(NodeId(A), NodeId(B));
-      GPar.addEdge(NodeId(A), NodeId(B));
-      Edges.push_back({NodeId(A), NodeId(B)});
-    }
-    bool UseDelta = !R.chance(1, 3);
-    if (UseDelta) {
-      Seq.addEdges(Edges);
-      Par.addEdges(Edges);
-    } else {
-      Seq.refresh();
-      Par.refresh();
-    }
-
-    for (uint32_t U = 0; U != N; ++U)
-      for (uint32_t V = 0; V != N; ++V)
-        ASSERT_EQ(Seq.reaches(NodeId(U), NodeId(V)),
-                  Par.reaches(NodeId(U), NodeId(V)))
-            << "seed " << Seed << " batch " << Batch << " " << U << "->"
-            << V;
-
-    if (UseDelta) {
-      const uint8_t *CS = Seq.changedRows(), *CP = Par.changedRows();
-      ASSERT_NE(CS, nullptr);
-      ASSERT_NE(CP, nullptr);
-      for (uint32_t U = 0; U != N; ++U)
-        ASSERT_EQ(CS[U], CP[U])
-            << "seed " << Seed << " batch " << Batch << " row " << U;
-
-      const std::vector<GainedWord> *WS = Seq.gainedWords();
-      const std::vector<GainedWord> *WP = Par.gainedWords();
-      ASSERT_NE(WS, nullptr);
-      ASSERT_NE(WP, nullptr);
-      ASSERT_EQ(WS->size(), WP->size())
-          << "seed " << Seed << " batch " << Batch;
-      for (size_t I = 0; I != WS->size(); ++I) {
-        EXPECT_EQ((*WS)[I].From, (*WP)[I].From) << "word " << I;
-        EXPECT_EQ((*WS)[I].WordIdx, (*WP)[I].WordIdx) << "word " << I;
-        EXPECT_EQ((*WS)[I].Bits, (*WP)[I].Bits) << "word " << I;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StripParityTest,
-                         testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 11, 42));
 
 } // namespace

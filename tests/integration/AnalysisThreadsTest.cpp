@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The parallel-analysis determinism contract (docs/robustness.md): for
-// every thread count, the analysis phase -- closure sweeps, rule-engine
-// scans, detector pair scan -- must render byte-identical reports.
+// every thread count, the analysis -- whose detector pair scan fans out
+// across the pool -- must render byte-identical reports.
 // Pinned three ways: over the committed trace fixtures, over randomized
 // traces (100 seeds), and at the process level with SIGKILL landing
 // mid-run while CAFA_ANALYSIS_THREADS=4.
