@@ -11,10 +11,7 @@
 // event-heavy ToDoList and Music).  We sweep a synthetic app over event
 // counts and report the analysis phase breakdown (access extraction,
 // happens-before construction incl. the fixpoint, race detection) and
-// the happens-before memory footprint -- once with the full-rebuild
-// closure oracle (the original implementation) and once with the
-// incremental closure (the default), so the sweep doubles as the
-// before/after curve for the delta-propagation engine.
+// the happens-before memory footprint under the default closure oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -109,13 +106,13 @@ Trace buildChainable(uint64_t Events) {
 /// ReachMode::Chain on chainable traces from 8k up to \p MaxEvents
 /// (default 1M) event tasks.  The bytes/event column is the honesty
 /// check on the O(N * chains) memory claim -- it must stay flat while
-/// events grow 125x.  Rows small enough for the closure-family oracles
-/// also run those and byte-compare the reports: Incremental at <= 8k
-/// (its row bytes pass 2 GB long before 250k), Bfs at <= 100k (its
-/// per-query cost makes the rule scans quadratic past that).
+/// events grow 125x.  Rows small enough for the other oracles also run
+/// those and byte-compare the reports: Closure at <= 8k (its row bytes
+/// pass 2 GB long before 250k), Bfs at <= 100k (its per-query cost makes
+/// the rule scans quadratic past that).
 void sweepChainScaling(uint64_t MaxEvents) {
   const uint64_t BfsVerifyMax = 100000;
-  const uint64_t IncVerifyMax = 8000;
+  const uint64_t ClosureVerifyMax = 8000;
 
   std::printf("\nchain-oracle scaling axis (single-poster chainable "
               "traces, 1 analysis thread):\n");
@@ -148,16 +145,16 @@ void sweepChainScaling(uint64_t MaxEvents) {
                     B.HbBuildMillis,
                     static_cast<double>(B.HbMemoryBytes) / 1e6);
       CrossModes += Buf;
-      if (Events <= IncVerifyMax) {
-        DetectorOptions IncOpt;
-        IncOpt.Hb.Reach = ReachMode::Incremental;
-        AnalysisResult I = analyzeTrace(T, IncOpt);
-        Verdict += renderRaceReportJson(I.Report, T) == Json
-                       ? ",=incr"
-                       : ",DIFFERS(incr)";
-        std::snprintf(Buf, sizeof(Buf), " [incr hb=%.1fms mem=%.1fMB]",
-                      I.HbBuildMillis,
-                      static_cast<double>(I.HbMemoryBytes) / 1e6);
+      if (Events <= ClosureVerifyMax) {
+        DetectorOptions CloOpt;
+        CloOpt.Hb.Reach = ReachMode::Closure;
+        AnalysisResult C = analyzeTrace(T, CloOpt);
+        Verdict += renderRaceReportJson(C.Report, T) == Json
+                       ? ",=closure"
+                       : ",DIFFERS(closure)";
+        std::snprintf(Buf, sizeof(Buf), " [closure hb=%.1fms mem=%.1fMB]",
+                      C.HbBuildMillis,
+                      static_cast<double>(C.HbMemoryBytes) / 1e6);
         CrossModes += Buf;
       }
     }
@@ -379,57 +376,6 @@ void sweepIngestThreads(const Trace &Pristine) {
   }
 }
 
-/// Analysis thread-count axis: wall time of the happens-before build
-/// (single-threaded; a control) and the detector pair scan at
-/// 1/2/4/8 analysis threads, with the bit-identity contract checked on
-/// every row -- the rendered JSON report must match the 1-thread
-/// reference byte for byte.  Speedup is relative to the 1-thread run;
-/// rows beyond the machine's core count cannot speed up and say so
-/// honestly.
-void sweepAnalysisThreads(const Trace &T) {
-  std::printf("\nanalysis thread axis (%s records, %u hardware "
-              "threads):\n",
-              withThousandsSep(T.numRecords()).c_str(),
-              std::thread::hardware_concurrency());
-  std::printf("%8s %10s %12s %10s %8s %10s\n", "threads", "hb(ms)",
-              "detect(ms)", "total(ms)", "speedup", "verdict");
-
-  std::string RefJson;
-  double RefHbMs = 0;
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    DetectorOptions Opt;
-    Opt.Hb.Threads = Threads;
-
-    // Median-of-three (best-of, really): at bench sizes a stray
-    // scheduler tick would otherwise dominate the row.
-    double BestHb = 0, BestDetect = 0, BestTotal = 0;
-    std::string Json;
-    for (int Rep = 0; Rep != 3; ++Rep) {
-      Timer Total;
-      AnalysisResult R = analyzeTrace(T, Opt);
-      double TotalMs = Total.elapsedWallMillis();
-      if (Rep == 0 || R.HbBuildMillis < BestHb) {
-        BestHb = R.HbBuildMillis;
-        BestDetect = R.DetectMillis;
-        BestTotal = TotalMs;
-        Json = renderRaceReportJson(R.Report, T);
-      }
-    }
-
-    const char *Verdict;
-    if (Threads == 1) {
-      RefJson = std::move(Json);
-      RefHbMs = BestHb;
-      Verdict = "reference";
-    } else {
-      Verdict = Json == RefJson ? "identical" : "DIFFERS";
-    }
-    double Speedup = BestHb > 0 ? RefHbMs / BestHb : 0;
-    std::printf("%8u %10.1f %12.1f %10.1f %7.2fx %10s\n", Threads, BestHb,
-                BestDetect, BestTotal, Speedup, Verdict);
-  }
-}
-
 /// Checkpoint cadence axis: analysis wall time with cadence saves at
 /// several --checkpoint-every settings (0 = checkpointing off), plus a
 /// cut-then-resume row.  The overhead column calibrates the default
@@ -504,46 +450,33 @@ int main(int argc, char **argv) {
                                 ? std::strtoull(argv[2], nullptr, 10)
                                 : 1000000;
 
-  std::printf("%8s %10s %12s %14s %14s %8s %12s %12s\n", "events",
-              "records", "extract(ms)", "hb-rebuild(ms)", "hb-incr(ms)",
-              "speedup", "detect(ms)", "hb-mem(MB)");
+  std::printf("%8s %10s %12s %10s %12s %12s\n", "events", "records",
+              "extract(ms)", "hb(ms)", "detect(ms)", "hb-mem(MB)");
   for (uint64_t Events = 500; Events <= MaxEvents; Events *= 2) {
     Scenario S = buildSynthetic(Events);
     Trace T = runScenario(S, RuntimeOptions());
 
-    DetectorOptions Rebuild;
-    Rebuild.Hb.Reach = ReachMode::Closure;
-    AnalysisResult Before = analyzeTrace(T, Rebuild);
-
-    DetectorOptions Incremental;
-    Incremental.Hb.Reach = ReachMode::Incremental;
-    AnalysisResult After = analyzeTrace(T, Incremental);
-
-    double Speedup = After.HbBuildMillis > 0
-                         ? Before.HbBuildMillis / After.HbBuildMillis
-                         : 0.0;
-    std::printf("%8s %10s %12.1f %14.1f %14.1f %7.2fx %12.1f %12.1f\n",
+    DetectorOptions Closure;
+    Closure.Hb.Reach = ReachMode::Closure;
+    AnalysisResult R = analyzeTrace(T, Closure);
+    std::printf("%8s %10s %12.1f %10.1f %12.1f %12.1f\n",
                 withThousandsSep(Events).c_str(),
-                withThousandsSep(T.numRecords()).c_str(),
-                After.ExtractMillis, Before.HbBuildMillis,
-                After.HbBuildMillis, Speedup, After.DetectMillis,
-                static_cast<double>(After.HbMemoryBytes) / 1e6);
+                withThousandsSep(T.numRecords()).c_str(), R.ExtractMillis,
+                R.HbBuildMillis, R.DetectMillis,
+                static_cast<double>(R.HbMemoryBytes) / 1e6);
   }
   std::printf("\nshape to compare with the paper: happens-before "
-              "construction dominates and grows superlinearly in events;\n"
-              "the incremental oracle shrinks the constant (same reports, "
-              "same asymptote of the quadratic rule scans)\n");
+              "construction dominates and grows superlinearly in events\n");
 
   // Fixed-size trace for the corruption sweep: the axis of interest is
   // damage ratio, not event count.
   Trace T = runScenario(buildSynthetic(2000), RuntimeOptions());
   sweepCorruption(T);
 
-  // Thread axes over the largest swept trace, so the shards / queue
-  // scans are big enough for the workers to have real work.
+  // Ingest thread axis over the largest swept trace, so the shards are
+  // big enough for the workers to have real work.
   Trace Large = runScenario(buildSynthetic(MaxEvents), RuntimeOptions());
   sweepIngestThreads(Large);
-  sweepAnalysisThreads(Large);
   sweepCheckpointCadence(Large);
 
   // Chain-oracle axis on its own trace family, last because it dwarfs

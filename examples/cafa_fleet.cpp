@@ -71,7 +71,7 @@ static int usage(const char *Prog) {
       "  --backoff-initial=<ms>   first retry delay (default 100)\n"
       "  --backoff-max=<ms>       retry delay cap (default 30000)\n"
       "  --seed=<n>               backoff jitter seed (default 0x5EEDCAFA)\n"
-      "  --analysis-threads=<n> / --ingest-threads=<n>  forwarded\n"
+      "  --ingest-threads=<n>     forwarded\n"
       "  --window=<records>       forwarded: workers run the windowed\n"
       "                           streaming scan (bounded overlay memory)\n"
       "  --strict                 forwarded (salvage incidents fail jobs)\n"
@@ -169,8 +169,6 @@ int main(int argc, char **argv) {
       Options.Backoff.MaxMillis = D;
     else if (numArg(Arg, "--seed=", N))
       Options.Backoff.Seed = N;
-    else if (numArg(Arg, "--analysis-threads=", N) && N > 0)
-      Options.AnalysisThreads = static_cast<unsigned>(N);
     else if (numArg(Arg, "--ingest-threads=", N) && N > 0)
       Options.IngestThreads = static_cast<unsigned>(N);
     else if (numArg(Arg, "--window=", N) && N > 0)

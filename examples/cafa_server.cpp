@@ -62,7 +62,7 @@ static int usage(const char *Prog) {
       "  --deadline=<ms>          soft worker deadline, attempt 1\n"
       "  --checkpoint-every=<ms>  worker snapshot cadence (default 10)\n"
       "  --backoff-initial=<ms> / --backoff-max=<ms> / --seed=<n>\n"
-      "  --analysis-threads=<n> / --ingest-threads=<n>  forwarded\n"
+      "  --ingest-threads=<n>     forwarded\n"
       "  --strict                 forwarded (salvage incidents fail jobs)\n"
       "ctl commands:\n"
       "  submit <id> <trace> [worker-args...]   queue one analysis\n"
@@ -155,8 +155,6 @@ static int runServe(int argc, char **argv) {
       Options.Fleet.Backoff.MaxMillis = D;
     else if (numArg(Arg, "--seed=", N))
       Options.Fleet.Backoff.Seed = N;
-    else if (numArg(Arg, "--analysis-threads=", N) && N > 0)
-      Options.Fleet.AnalysisThreads = static_cast<unsigned>(N);
     else if (numArg(Arg, "--ingest-threads=", N) && N > 0)
       Options.Fleet.IngestThreads = static_cast<unsigned>(N);
     else

@@ -12,12 +12,12 @@
 //   $ ./offline_analyzer record zxing /tmp/zxing.trace   # collect
 //   $ ./offline_analyzer analyze /tmp/zxing.trace        # analyze later
 //   $ ./offline_analyzer analyze /tmp/zxing.trace --json # CI-friendly
-//   $ ./offline_analyzer analyze /tmp/zxing.trace --reach=closure
+//   $ ./offline_analyzer analyze /tmp/zxing.trace --reach=chain
 //   $ ./offline_analyzer analyze /tmp/big.trace --window=65536
 //   $ ./offline_analyzer dot /tmp/zxing.trace            # Graphviz digest
 //
-// --reach selects the happens-before reachability oracle (incremental /
-// closure / chain / bfs; see the mode decision table in
+// --reach selects the happens-before reachability oracle (closure /
+// chain / bfs; see the mode decision table in
 // docs/hb-reachability.md for when to pick which).  Unset, the choice
 // also honors the CAFA_REACH environment variable.
 // --window=<records> runs the windowed streaming detector scan
@@ -104,15 +104,14 @@ static std::string renderHbTimings(const HbTimings &Hb, bool Json) {
                           Hb.OracleInitMillis);
   for (size_t I = 0; I != Hb.Rounds.size(); ++I) {
     const HbRoundTiming &R = Hb.Rounds[I];
-    Out += Json ? formatString("%s{\"dispatch\":%.1f,\"atomicity\":%.1f,"
-                               "\"queue\":%.1f,\"update\":%.1f}",
-                               I ? "," : "", R.DispatchMillis,
-                               R.AtomicityMillis, R.QueueMillis,
-                               R.UpdateMillis)
-                : formatString("; round %zu dispatch %.1f, atomicity %.1f, "
-                               "queue %.1f, update %.1f ms",
-                               I + 1, R.DispatchMillis, R.AtomicityMillis,
-                               R.QueueMillis, R.UpdateMillis);
+    Out += Json ? formatString("%s{\"atomicity\":%.1f,\"queue\":%.1f,"
+                               "\"update\":%.1f}",
+                               I ? "," : "", R.AtomicityMillis,
+                               R.QueueMillis, R.UpdateMillis)
+                : formatString("; round %zu atomicity %.1f, queue %.1f, "
+                               "update %.1f ms",
+                               I + 1, R.AtomicityMillis, R.QueueMillis,
+                               R.UpdateMillis);
   }
   return Out + (Json ? "]" : "\n");
 }
@@ -123,7 +122,7 @@ static int usage(const char *Prog) {
                "  %s record <app> <trace-file>      collect a trace\n"
                "  %s analyze <trace-file> [--json] [--strict|--salvage]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
-               "     [--reach=incremental|closure|chain|bfs]\n"
+               "     [--reach=closure|chain|bfs]\n"
                "     [--window=<records>|--window=off]\n"
                "     [--mem-limit=<bytes>] [--deadline=<ms>]\n"
                "     [--checkpoint-dir=<dir>] [--checkpoint-every=<ms>]\n"
@@ -170,6 +169,7 @@ int main(int argc, char **argv) {
     unsigned long ChaosAllocMb = 0;
     bool Confirm = false;
     unsigned ConfirmBound = 0; // 0 = auto (CAFA_CONFIRM, else 4)
+    unsigned ConfirmThreads = 0; // 0 = auto (CAFA_ANALYSIS_THREADS)
     std::string AppName;
     for (int I = 3; I != argc; ++I) {
       if (std::strcmp(argv[I], "--json") == 0) {
@@ -189,9 +189,7 @@ int main(int argc, char **argv) {
         unsigned long N = std::strtoul(argv[I] + 19, &End, 10);
         if (End == argv[I] + 19 || *End != '\0' || N == 0)
           return usage(argv[0]);
-        Options.Hb.Threads = static_cast<unsigned>(N);
-      } else if (std::strcmp(argv[I], "--reach=incremental") == 0) {
-        Options.Hb.Reach = ReachMode::Incremental;
+        ConfirmThreads = static_cast<unsigned>(N);
       } else if (std::strcmp(argv[I], "--reach=closure") == 0) {
         Options.Hb.Reach = ReachMode::Closure;
       } else if (std::strcmp(argv[I], "--reach=chain") == 0) {
@@ -464,7 +462,7 @@ int main(int argc, char **argv) {
       AppModel Model = buildApp(AppName);
       ConfirmOptions COpt;
       COpt.MaxSchedules = ConfirmBound;
-      COpt.Threads = Options.Hb.Threads;
+      COpt.Threads = ConfirmThreads;
       ConfirmSummary CSum = confirmRaces(Model.S, T, R.Report, COpt);
       applyConfirmVerdicts(CSum, Doc);
       std::fprintf(stderr,

@@ -71,12 +71,9 @@ bool pipelineOnce(const std::string &Text) {
   // Keep per-input cost bounded: classification off, a round cap for
   // pathological queue structures, and a generous deadline backstop so
   // a quadratic corner becomes a partial report instead of a hang.
-  // Two analysis threads put the parallel rule-engine / detector paths
-  // (and their sequential-fallback commit logic) under fuzz as well.
   DetectorOptions Opt;
   Opt.Classify = false;
   Opt.Hb.MaxFixpointRounds = 8;
-  Opt.Hb.Threads = 2;
   Opt.DeadlineMillis = 50;
   AnalysisResult R = analyzeTrace(T, Opt);
   (void)R;

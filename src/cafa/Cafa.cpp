@@ -50,7 +50,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   // up front so the primary fixpoint can pick a frontier-friendly
   // oracle; the memory-pressure ladder may still engage it after the
   // build (below).  A windowed run changes the reach *default* from
-  // Incremental to Chain -- the windowed scan sheds the oracle right
+  // Closure to Chain -- the windowed scan sheds the oracle right
   // after the fixpoint, so the low-memory rung is the right pick -- but
   // an explicit request or CAFA_REACH keeps full precedence.
   uint64_t Window = resolveWindowEvents(Options.WindowEvents);

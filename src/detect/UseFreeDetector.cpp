@@ -9,7 +9,6 @@
 
 #include "detect/DetectShared.h"
 #include "support/Timer.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <map>
@@ -235,9 +234,8 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
   };
 
   // Deadline bookkeeping: a Timer query per pair would dominate the
-  // scan, so the clock is only consulted every ~4k pairs (at block
-  // barriers in the parallel mode).  Checkpoint cadence rides the same
-  // poll.
+  // scan, so the clock is only consulted every ~4k pairs.  Checkpoint
+  // cadence rides the same poll.
   Timer DetectTimer;
   bool WantClock = Options.DeadlineMillis > 0 ||
                    (Ckpt && Ckpt->Save && Ckpt->EveryMillis > 0);
@@ -271,15 +269,11 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     }
   };
 
-  // The pure per-pair filter pipeline: everything whose verdict depends
-  // only on the pair itself (and the frozen shed state), which is what
-  // makes it safe to evaluate from worker threads.  Dedup,
-  // dynamic-instance counting, and classification are order-dependent
-  // and stay sequential (commitPair).  GuardedMemo stays safe in
-  // parallel because uses are partitioned: exactly one worker ever
-  // touches a given use's memo slot.
-  auto evalPair = [&](uint32_t UseIdx, uint32_t FreeIdx, bool Shed,
-                      FilterCounters &C, bool &SameLooper) {
+  // The per-pair filter pipeline: everything whose verdict depends only
+  // on the pair itself (and the shed state).  Dedup, dynamic-instance
+  // counting, and classification follow in commitPair.
+  auto evalPair = [&](uint32_t UseIdx, uint32_t FreeIdx, bool &SameLooper) {
+    FilterCounters &C = Report.Filters;
     const PtrAccess &Use = Db.Uses[UseIdx];
     const PtrAccess &Free = Db.Frees[FreeIdx];
     ++C.CandidatePairs;
@@ -291,14 +285,14 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
       ++C.OrderedByHb;
       return false;
     }
-    if (Options.LocksetFilter && !Shed &&
+    if (Options.LocksetFilter && !FiltersShed &&
         locksetsIntersect(Use.Lockset, Free.Lockset)) {
       ++C.LocksetProtected;
       return false;
     }
     SameLooper = sameLooperEvents(T, Use.Task, Free.Task);
     if (SameLooper) {
-      if (Options.IfGuardFilter && !Shed && isGuarded(UseIdx)) {
+      if (Options.IfGuardFilter && !FiltersShed && isGuarded(UseIdx)) {
         ++C.IfGuardFiltered;
         return false;
       }
@@ -312,8 +306,8 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     return true;
   };
 
-  // Sequential commit of one surviving pair, in scan order: static-site
-  // dedup, dynamic-instance counting, Table 1 classification.
+  // Commit of one surviving pair, in scan order: static-site dedup,
+  // dynamic-instance counting, Table 1 classification.
   auto commitPair = [&](uint32_t UseIdx, uint32_t FreeIdx,
                         bool SameLooper) {
     const PtrAccess &Use = Db.Uses[UseIdx];
@@ -341,124 +335,23 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
 
   const uint32_t UE = static_cast<uint32_t>(Db.Uses.size());
 
-  // Parallel analysis mode (Options.Hb.Threads, docs/robustness.md):
-  // uses are scanned in contiguous blocks; each block fans its pairs
-  // out across workers as per-worker survivor lists, then the
-  // survivors are committed in scan order.  Every per-pair verdict is
-  // pure given the frozen shed state, and the commit order equals the
-  // sequential scan's, so reports are bit-identical at every thread
-  // count.  Requires an oracle whose queries are safe from many
-  // threads (row-backed closures; the BFS floor mutates scratch).
-  unsigned Threads = resolveAnalysisThreads(Options.Hb.Threads);
-  bool Parallel =
-      Threads > 1 && Hb.concurrentQueriesSafe() && Db.Uses.size() >= 64;
-  WorkerPool Pool(Parallel ? Threads - 1 : 0);
-
-  if (!Parallel) {
-    for (uint32_t UseIdx = StartUse; UseIdx != UE && !OutOfTime;
-         ++UseIdx) {
-      const PtrAccess &Use = Db.Uses[UseIdx];
-      if (Use.Var.index() >= Ix.FreesByVar.size())
-        continue;
-      const std::vector<uint32_t> &FreeList =
-          Ix.FreesByVar[Use.Var.index()];
-      for (uint32_t J = UseIdx == StartUse ? StartFree : 0,
-                    JE = static_cast<uint32_t>(FreeList.size());
-           J != JE; ++J) {
-        if (WantClock && ++PairsSinceCheck >= 4096) {
-          PairsSinceCheck = 0;
-          pollClock(UseIdx, J);
-          if (OutOfTime)
-            break;
-        }
-        bool SameLooper = false;
-        if (evalPair(UseIdx, FreeList[J], FiltersShed, Report.Filters,
-                     SameLooper))
-          commitPair(UseIdx, FreeList[J], SameLooper);
-      }
-    }
-  } else {
-    // Blocks match the sequential clock cadence (~4k pairs) when the
-    // clock matters, so deadline cuts and cadence saves land at
-    // comparable pair counts; otherwise they are sized for throughput.
-    const uint64_t BlockPairs = WantClock ? 4096 : 65536;
-    const uint64_t ChunkPairs =
-        std::max<uint64_t>(BlockPairs / (Pool.helperThreads() + 1), 512);
-    struct Survivor {
-      uint32_t UseIdx, FreeIdx;
-      bool SameLooper;
-    };
-    struct Chunk {
-      uint32_t UseBegin, UseEnd;
-      FilterCounters C;
-      std::vector<Survivor> Out;
-    };
-    // Pairs of a use before the scan cursor (only the resume use can
-    // have any).
-    auto SkippedPairs = [&](uint32_t UseIdx, uint64_t N) {
-      return UseIdx == StartUse ? std::min<uint64_t>(N, StartFree) : 0;
-    };
-    uint32_t UseIdx = StartUse;
-    while (UseIdx < UE && !OutOfTime) {
-      // Carve the next block of ~BlockPairs pairs into contiguous
-      // per-worker chunks balanced by pair count.
-      std::vector<Chunk> Chunks;
-      uint64_t InBlock = 0, InChunk = 0;
-      uint32_t ChunkBegin = UseIdx, U = UseIdx;
-      for (; U < UE && InBlock < BlockPairs; ++U) {
-        const PtrAccess &Use = Db.Uses[U];
-        uint64_t N = Use.Var.index() < Ix.FreesByVar.size()
-                         ? Ix.FreesByVar[Use.Var.index()].size()
-                         : 0;
-        N -= SkippedPairs(U, N);
-        InBlock += N;
-        InChunk += N;
-        if (InChunk >= ChunkPairs) {
-          Chunks.push_back({ChunkBegin, U + 1, {}, {}});
-          ChunkBegin = U + 1;
-          InChunk = 0;
-        }
-      }
-      if (ChunkBegin < U)
-        Chunks.push_back({ChunkBegin, U, {}, {}});
-      const bool Shed = FiltersShed; // frozen for the whole block
-      Pool.parallelFor(Chunks.size(), [&](size_t CI) {
-        Chunk &Ch = Chunks[CI];
-        for (uint32_t UI = Ch.UseBegin; UI != Ch.UseEnd; ++UI) {
-          const PtrAccess &Use = Db.Uses[UI];
-          if (Use.Var.index() >= Ix.FreesByVar.size())
-            continue;
-          const std::vector<uint32_t> &FreeList =
-              Ix.FreesByVar[Use.Var.index()];
-          for (uint32_t J = UI == StartUse ? StartFree : 0,
-                        JE = static_cast<uint32_t>(FreeList.size());
-               J != JE; ++J) {
-            bool SameLooper = false;
-            if (evalPair(UI, FreeList[J], Shed, Ch.C, SameLooper))
-              Ch.Out.push_back({UI, FreeList[J], SameLooper});
-          }
-        }
-      });
-      for (Chunk &Ch : Chunks) {
-        Report.Filters.OrderedByHb += Ch.C.OrderedByHb;
-        Report.Filters.SameTask += Ch.C.SameTask;
-        Report.Filters.LocksetProtected += Ch.C.LocksetProtected;
-        Report.Filters.IfGuardFiltered += Ch.C.IfGuardFiltered;
-        Report.Filters.IntraEventAlloc += Ch.C.IntraEventAlloc;
-        Report.Filters.CandidatePairs += Ch.C.CandidatePairs;
-        for (const Survivor &S : Ch.Out)
-          commitPair(S.UseIdx, S.FreeIdx, S.SameLooper);
-      }
-      UseIdx = U;
-      // Same cadence as the sequential scan: poll once ~4k pairs have
-      // been evaluated since the last poll, with the cursor at the next
-      // unprocessed pair.  No trailing poll after the final block -- a
-      // finished scan is complete, not cut.
-      PairsSinceCheck += InBlock;
-      if (WantClock && PairsSinceCheck >= 4096 && UseIdx < UE) {
+  for (uint32_t UseIdx = StartUse; UseIdx != UE && !OutOfTime; ++UseIdx) {
+    const PtrAccess &Use = Db.Uses[UseIdx];
+    if (Use.Var.index() >= Ix.FreesByVar.size())
+      continue;
+    const std::vector<uint32_t> &FreeList = Ix.FreesByVar[Use.Var.index()];
+    for (uint32_t J = UseIdx == StartUse ? StartFree : 0,
+                  JE = static_cast<uint32_t>(FreeList.size());
+         J != JE; ++J) {
+      if (WantClock && ++PairsSinceCheck >= 4096) {
         PairsSinceCheck = 0;
-        pollClock(UseIdx, UseIdx == StartUse ? StartFree : 0);
+        pollClock(UseIdx, J);
+        if (OutOfTime)
+          break;
       }
+      bool SameLooper = false;
+      if (evalPair(UseIdx, FreeList[J], SameLooper))
+        commitPair(UseIdx, FreeList[J], SameLooper);
     }
   }
   if (OutOfTime) {

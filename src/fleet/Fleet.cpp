@@ -160,9 +160,6 @@ std::vector<std::string> workerArgv(const FleetOptions &Options,
   if (Options.CheckpointEveryMillis > 0)
     Argv.push_back(formatString("--checkpoint-every=%g",
                                 Options.CheckpointEveryMillis));
-  if (Options.AnalysisThreads > 0)
-    Argv.push_back(
-        formatString("--analysis-threads=%u", Options.AnalysisThreads));
   if (Options.IngestThreads > 0)
     Argv.push_back(
         formatString("--ingest-threads=%u", Options.IngestThreads));

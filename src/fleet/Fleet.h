@@ -121,7 +121,6 @@ struct FleetOptions {
   double DeadlineMillis = 0;
   size_t MemLimitBytes = 0;
   /// Forwarded to workers when nonzero.
-  unsigned AnalysisThreads = 0;
   unsigned IngestThreads = 0;
   /// Windowed streaming scan, forwarded as --window=<n> when nonzero
   /// (docs/windowed-analysis.md); reports stay byte-identical, so this

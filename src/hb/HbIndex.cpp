@@ -200,13 +200,9 @@ struct HbIndex::Builder {
     }
   }
 
-  /// Per-round frozen context: the oracle (and its inline row array),
-  /// the row-level change flags, and whether exact gained facts drive
-  /// this round.
+  /// Per-round frozen context: the oracle and its inline row array.
   const Reachability *RoundOracle = nullptr;
   const BitVec *RoundRows = nullptr;
-  const uint8_t *RoundChanged = nullptr;
-  bool RoundExact = false;
 
   /// Proposals and per-rule counters of a scan.  The round accumulates
   /// into one; a queue's uncapped row-major scan writes into a second
@@ -237,104 +233,29 @@ struct HbIndex::Builder {
   std::vector<uint8_t> Covered;
   std::vector<uint32_t> Run;
 
-  /// Semi-naive scan frontier, one per queue and rule family.  Pairs are
-  /// scanned in gap-diagonal order; everything lexicographically below
-  /// (Gap, I) has been evaluated at least once ("seen") in an earlier
-  /// round.  Seen pairs are re-evaluated only when a premise-source row
-  /// changed in the last oracle update; unseen pairs always evaluate and
-  /// are the only place the per-round edge cap may cut the scan, so the
-  /// seen region's sweep always completes -- the invariant that makes
-  /// the change-driven skip sound.  The cursor type lives in HbIndex.h
-  /// (HbScanCursor) because checkpoints persist these frontiers.
+  /// Scan frontier, one per queue and rule family.  Pairs are scanned
+  /// in gap-diagonal order; everything lexicographically below (Gap, I)
+  /// has been evaluated at least once ("seen") in an earlier round.
+  /// Every round re-evaluates the seen region in full; unseen pairs are
+  /// the only place the per-round edge cap may cut the scan, so the cap
+  /// can never starve a pair that was already reached.  The cursor type
+  /// lives in HbIndex.h (HbScanCursor) because checkpoints persist these
+  /// frontiers.
   std::vector<HbScanCursor> AtomCursor, SendCursor;
-
-  /// Reverse maps from a node id to its role in the rule premises, so a
-  /// gained reachability fact (From now reaches To) can be dispatched to
-  /// exactly the rule instances it can newly fire.  Premises are:
-  ///   atomicity   begin(eI) < end(eJ)    Begin source, End target
-  ///   queue 1..4  s1 < s2 (post nodes)   Send source and target
-  ///   queue 2/4   s2 < begin(e1)         Send source, Begin target
-  /// FactSources/FactTargets are those same sets as masks, installed
-  /// into the oracle as its gained-fact filter.
-  struct NodeRole {
-    enum Kind : uint8_t { None, Begin, End, Send } K = None;
-    uint32_t Q = 0;   ///< queue index
-    uint32_t Pos = 0; ///< position in QueueEvents[Q] / QueueSends[Q]
-    /// For Begin nodes: the send that posted this event (as a position
-    /// in QueueSends[SendQ]), or SendQ == UINT32_MAX if none recorded.
-    uint32_t SendQ = UINT32_MAX;
-    uint32_t SendPos = 0;
-  };
-  std::vector<NodeRole> Roles;
-  BitVec FactSources, FactTargets;
 
   /// Word-parallel atomicity premises, built the first round whose
   /// oracle exposes closure rows (Q*N/8 bytes, never more than the N^2/8
   /// rows they filter).  EndMask[Q] holds the end nodes of queue Q's
   /// events, for queues with at least two events; SingleEntryEnds holds
   /// the end nodes of events that no cross-task edge enters except at
-  /// their begin node.
+  /// their begin node.  EndPos maps an end node in EndMask to its
+  /// event's position in QueueEvents.
   std::vector<BitVec> EndMask;
   BitVec SingleEntryEnds;
+  std::vector<uint32_t> EndPos;
   bool HaveMasks = false;
 
-  /// Fills Roles and the fact filter masks.  Call after collect() and
-  /// addBaseEdges(), once the graph's node universe is final.
-  void buildFactTables() {
-    size_t N = G.numNodes();
-    Roles.assign(N, {});
-    FactSources.resize(N);
-    FactTargets.resize(N);
-    for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
-      const std::vector<TaskId> &Events = QueueEvents[Q];
-      if (Events.size() < 2)
-        continue; // no pairs, no premises
-      for (size_t Pos = 0; Pos != Events.size(); ++Pos) {
-        NodeId B = G.beginNode(Events[Pos]);
-        NodeId E = G.endNode(Events[Pos]);
-        if (B.isValid()) {
-          NodeRole &R = Roles[B.index()];
-          R.K = NodeRole::Begin;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactSources.set(B.index());
-        }
-        if (E.isValid()) {
-          NodeRole &R = Roles[E.index()];
-          R.K = NodeRole::End;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactTargets.set(E.index());
-        }
-      }
-    }
-    for (size_t Q = 0; Q != QueueSends.size(); ++Q) {
-      const std::vector<SendOp> &Sends = QueueSends[Q];
-      if (Sends.size() < 2)
-        continue;
-      for (size_t Pos = 0; Pos != Sends.size(); ++Pos) {
-        const SendOp &S = Sends[Pos];
-        if (S.Node.isValid()) {
-          NodeRole &R = Roles[S.Node.index()];
-          R.K = NodeRole::Send;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactSources.set(S.Node.index());
-          FactTargets.set(S.Node.index());
-        }
-        NodeId B = G.beginNode(S.Event);
-        if (B.isValid()) {
-          // Rules 2/4 premise target: this event's begin node, reached
-          // from a later front-send's post node.
-          Roles[B.index()].SendQ = static_cast<uint32_t>(Q);
-          Roles[B.index()].SendPos = static_cast<uint32_t>(Pos);
-          FactTargets.set(B.index());
-        }
-      }
-    }
-  }
-
-  /// Builds EndMask and SingleEntryEnds.  An event is entered mid-body
+  /// Builds EndMask, SingleEntryEnds and EndPos.  An event is entered mid-body
   /// by a cross-task edge into any node but its begin: join, wait,
   /// listener-perform and IPC-receive nodes.  Every derived edge targets
   /// a begin node, so once base edges (and a resume's replayed edges)
@@ -352,15 +273,18 @@ struct HbIndex::Builder {
     }
     EndMask.assign(QueueEvents.size(), BitVec());
     SingleEntryEnds.resize(N);
+    EndPos.assign(N, 0);
     for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
       if (QueueEvents[Q].size() < 2)
         continue;
       EndMask[Q].resize(N);
-      for (TaskId Event : QueueEvents[Q]) {
+      for (size_t Pos = 0; Pos != QueueEvents[Q].size(); ++Pos) {
+        TaskId Event = QueueEvents[Q][Pos];
         NodeId End = G.endNode(Event);
         if (!End.isValid())
           continue;
         EndMask[Q].set(End.index());
+        EndPos[End.index()] = static_cast<uint32_t>(Pos);
         if (!MidEntry[Event.index()])
           SingleEntryEnds.set(End.index());
       }
@@ -387,12 +311,6 @@ struct HbIndex::Builder {
                      : RoundOracle->reaches(From, To);
   }
 
-  /// Did this node's reachable set grow in the last oracle update?
-  /// Conservative on nullptr (no delta information) and invalid nodes.
-  bool rowChanged(NodeId Node) const {
-    return !RoundChanged || !Node.isValid() || RoundChanged[Node.index()];
-  }
-
   void propose(ScanOut &Out, NodeId From, NodeId To,
                uint64_t &Counter) const {
     if (!From.isValid() || !To.isValid())
@@ -410,12 +328,6 @@ struct HbIndex::Builder {
     Run.assign(K - 1, 0);
     for (size_t I = K - 1; I-- > 0;)
       Run[I] = Covered[I] ? (I + 1 < K - 1 ? Run[I + 1] : 0) + 1 : 0;
-  }
-
-  /// Smallest gap of a pair in row \p I whose evaluation an exact round
-  /// cannot skip: pairs below the cursor were evaluated before.
-  static size_t firstUnseenGap(const HbScanCursor &C, size_t I) {
-    return I < C.I ? size_t(C.Gap) + 1 : size_t(C.Gap);
   }
 
   /// Evaluates one ordered send pair against queue rules 1-4; the
@@ -456,75 +368,6 @@ struct HbIndex::Builder {
         propose(Out, End2, Begin1, Out.Q4);
     }
     return Link;
-  }
-
-  /// Was the pair at (Gap, I) of a queue with K elements evaluated in
-  /// an earlier round?  Unseen pairs are skipped by the dispatch below
-  /// -- the resumed scan reaches them with an oracle that still holds
-  /// the fact (monotone), so nothing is lost.
-  static bool pairSeen(const HbScanCursor &C, size_t K, uint32_t Gap,
-                       uint32_t I) {
-    if (C.Gap >= K)
-      return true; // queue fully scanned at least once
-    if (Gap < 2)
-      return false; // the gap-1 pass still re-evaluates these
-    return Gap < C.Gap || (Gap == C.Gap && I < C.I);
-  }
-
-  /// Semi-naive dispatch: route every premise fact that appeared in the
-  /// last oracle update to the already-seen rule instances it can newly
-  /// fire.  This stands in for re-scanning the seen region of every
-  /// queue.  Never capped: its volume is the fact delta, not a pair
-  /// quadratic.
-  void dispatchGained(const std::vector<GainedWord> &GainedList,
-                      ScanOut &Out) const {
-    for (const GainedWord &GW : GainedList) {
-      const NodeRole &U = Roles[GW.From];
-      if (U.K == NodeRole::None)
-        continue;
-      uint64_t Bits = GW.Bits;
-      if (U.K == NodeRole::Begin && RoundRows) {
-        // Same word filter as the row-major scan, before unpacking: on
-        // app traces nearly every gained begin -> end fact is one whose
-        // conclusion the oracle already holds.
-        NodeId EndI = G.endNode(QueueEvents[U.Q][U.Pos]);
-        if (!Opt.EnableAtomicityRule || !EndI.isValid())
-          continue;
-        Bits &= atomCandidates(U.Q, NodeId(GW.From), EndI, GW.WordIdx);
-      }
-      for (; Bits; Bits &= Bits - 1) {
-        uint32_t V =
-            GW.WordIdx * 64 + static_cast<uint32_t>(__builtin_ctzll(Bits));
-        const NodeRole &VR = Roles[V];
-        if (U.K == NodeRole::Begin) {
-          // Atomicity premise begin(eI) < end(eJ) just became true.
-          if (Opt.EnableAtomicityRule && VR.K == NodeRole::End &&
-              VR.Q == U.Q && VR.Pos > U.Pos &&
-              pairSeen(AtomCursor[U.Q], QueueEvents[U.Q].size(),
-                       VR.Pos - U.Pos, U.Pos)) {
-            const std::vector<TaskId> &Events = QueueEvents[U.Q];
-            propose(Out, G.endNode(Events[U.Pos]),
-                    G.beginNode(Events[VR.Pos]), Out.Atomicity);
-          }
-        } else if (U.K == NodeRole::Send && Opt.EnableQueueRules) {
-          // Queue-rule premise s1 < s2 just became true.
-          if (VR.K == NodeRole::Send && VR.Q == U.Q && VR.Pos > U.Pos &&
-              pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       VR.Pos - U.Pos, U.Pos))
-            evalSendPair(Out, QueueSends[U.Q][U.Pos],
-                         QueueSends[U.Q][VR.Pos],
-                         /*WantLink=*/false);
-          // Rules 2/4 premise s2 < begin(e1) just became true, where
-          // e1 was posted by an earlier send of the same queue.
-          if (VR.SendQ == U.Q && U.Pos > VR.SendPos &&
-              pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       U.Pos - VR.SendPos, VR.SendPos))
-            evalSendPair(Out, QueueSends[U.Q][VR.SendPos],
-                         QueueSends[U.Q][U.Pos],
-                         /*WantLink=*/false);
-        }
-      }
-    }
   }
 
   // -- Queue scans --------------------------------------------------------
@@ -589,18 +432,13 @@ struct HbIndex::Builder {
   bool atomRows(size_t Qi, ScanOut &Out, size_t Limit) {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
     const size_t K = Events.size();
-    const HbScanCursor C = AtomCursor[Qi];
     for (size_t I = 0; I + 2 < K; ++I) {
       NodeId BeginI = G.beginNode(Events[I]);
       NodeId EndI = G.endNode(Events[I]);
       if (!BeginI.isValid() || !EndI.isValid())
         continue; // no premise, or nothing to order
-      // Pairs within the covered run are implied.  Pairs an earlier
-      // round evaluated are skipped by an exact round; a coarse round
-      // re-evaluates them only if begin(eI)'s row grew.
+      // Pairs within the covered run are implied.
       size_t First = std::max<size_t>(2, size_t(Run[I]) + 1);
-      if (RoundExact || !rowChanged(BeginI))
-        First = std::max(First, firstUnseenGap(C, I));
       if (I + First >= K)
         continue;
       if (RoundRows) {
@@ -610,7 +448,7 @@ struct HbIndex::Builder {
           for (uint64_t Bits = atomCandidates(static_cast<uint32_t>(Qi),
                                               BeginI, EndI, W);
                Bits; Bits &= Bits - 1) {
-            uint32_t J = Roles[W * 64 + __builtin_ctzll(Bits)].Pos;
+            uint32_t J = EndPos[W * 64 + __builtin_ctzll(Bits)];
             if (J >= I + First)
               propose(Out, EndI, G.beginNode(Events[J]), Out.Atomicity);
           }
@@ -633,29 +471,20 @@ struct HbIndex::Builder {
   bool atomGapDiagonal(size_t Qi, ScanOut &Out, size_t Cap) {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
     const size_t K = Events.size();
-    // With exact fact dispatch the seen region needs no re-scan at
-    // all -- resume where the cap last cut.  Otherwise walk it with
-    // the coarse row-level skip.
     const size_t CGap = AtomCursor[Qi].Gap, CI = AtomCursor[Qi].I;
-    for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
-      for (size_t I = (RoundExact && Gap == CGap) ? CI : 0; I + Gap < K;
-           ++I) {
+    for (size_t Gap = 2; Gap < K; ++Gap) {
+      for (size_t I = 0; I + Gap < K; ++I) {
         if (Run[I] >= Gap)
           continue; // conclusion implied by chained covered links
-        size_t J = I + Gap;
-        NodeId BeginI = G.beginNode(Events[I]);
-        bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && I < CI));
-        if (Seen) {
-          // The only premise query sources from begin(eI); if its
-          // row did not grow, the pair evaluates as it did before.
-          if (!rowChanged(BeginI))
-            continue;
-        } else if (Out.Edges.size() >= Cap) {
+        bool Seen = Gap < CGap || (Gap == CGap && I < CI);
+        if (!Seen && Out.Edges.size() >= Cap) {
           // Everything past the cursor stays unseen.
           AtomCursor[Qi] = {static_cast<uint32_t>(Gap),
                             static_cast<uint32_t>(I)};
           return false;
         }
+        size_t J = I + Gap;
+        NodeId BeginI = G.beginNode(Events[I]);
         NodeId EndI = G.endNode(Events[I]);
         NodeId EndJ = G.endNode(Events[J]);
         NodeId BeginJ = G.beginNode(Events[J]);
@@ -704,27 +533,14 @@ struct HbIndex::Builder {
     const std::vector<SendOp> &Sends = QueueSends[Qi];
     const std::vector<uint32_t> &Fronts = QueueFronts[Qi];
     const size_t K = Sends.size();
-    const HbScanCursor C = SendCursor[Qi];
     for (size_t A = 0; A + 2 < K; ++A) {
       const SendOp &S1 = Sends[A];
-      // Seen pairs: skipped by an exact round; a coarse round
-      // re-evaluates one if s1's or s2's post-node row grew.
-      size_t Unseen = firstUnseenGap(C, A);
-      bool S1Changed = !RoundExact && rowChanged(S1.Node);
-      auto Visit = [&](size_t Gap) {
-        const SendOp &S2 = Sends[A + Gap];
-        if (Gap < Unseen &&
-            (RoundExact || (!S1Changed && !rowChanged(S2.Node))))
-          return;
-        evalSendPair(Out, S1, S2, /*WantLink=*/false);
-      };
-      size_t Lo = RoundExact ? std::max<size_t>(2, Unseen) : 2;
-      size_t Past = std::max(Lo, size_t(Run[A]) + 1);
-      for (auto It = std::lower_bound(Fronts.begin(), Fronts.end(), A + Lo);
+      size_t Past = std::max<size_t>(2, size_t(Run[A]) + 1);
+      for (auto It = std::lower_bound(Fronts.begin(), Fronts.end(), A + 2);
            It != Fronts.end() && *It < A + Past; ++It)
-        Visit(*It - A);
+        evalSendPair(Out, S1, Sends[*It], /*WantLink=*/false);
       for (size_t Gap = Past; A + Gap < K; ++Gap)
-        Visit(Gap);
+        evalSendPair(Out, S1, Sends[A + Gap], /*WantLink=*/false);
       if (Out.Edges.size() >= Limit)
         return false;
     }
@@ -737,9 +553,8 @@ struct HbIndex::Builder {
     const std::vector<SendOp> &Sends = QueueSends[Qi];
     const size_t K = Sends.size();
     const size_t CGap = SendCursor[Qi].Gap, CI = SendCursor[Qi].I;
-    for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
-      for (size_t A = (RoundExact && Gap == CGap) ? CI : 0; A + Gap < K;
-           ++A) {
+    for (size_t Gap = 2; Gap < K; ++Gap) {
+      for (size_t A = 0; A + Gap < K; ++A) {
         const SendOp &S1 = Sends[A];
         const SendOp &S2 = Sends[A + Gap];
         // A covered window implies the forward conclusion of rules
@@ -747,13 +562,8 @@ struct HbIndex::Builder {
         // conclusion) still needs evaluating.
         if (Run[A] >= Gap && !S2.AtFront)
           continue;
-        bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && A < CI));
-        if (Seen) {
-          // Every premise query sources from s1's or s2's post node;
-          // if neither row grew, the pair evaluates as before.
-          if (!rowChanged(S1.Node) && !rowChanged(S2.Node))
-            continue;
-        } else if (Out.Edges.size() >= Cap) {
+        bool Seen = Gap < CGap || (Gap == CGap && A < CI);
+        if (!Seen && Out.Edges.size() >= Cap) {
           // Everything past the cursor stays unseen.
           SendCursor[Qi] = {static_cast<uint32_t>(Gap),
                             static_cast<uint32_t>(A)};
@@ -783,47 +593,27 @@ struct HbIndex::Builder {
   /// implied by the covered links, so proposing it would either be
   /// rejected or insert a redundant edge.
   ///
-  /// On top of that, rounds after the first are *semi-naive* when the
-  /// oracle reports deltas:
-  ///
-  ///  - \p Gained (exact mode) lists the premise-shaped reachability
-  ///    facts that became true in the last update.  Each fact is
-  ///    dispatched through Roles to the rule instances it can newly
-  ///    fire, and the already-seen region of every scan is skipped
-  ///    entirely -- a seen pair either fired when its premise first
-  ///    appeared (its conclusion is in the graph and propose() drops it
-  ///    as implied) or its premise has still never held.  Steady-state
-  ///    round cost collapses from quadratic pair re-scans to the
-  ///    dispatch of a shrinking fact list.
-  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
-  ///    keeps the scans but skips seen pairs whose premise-source rows
-  ///    did not grow.
-  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
-  ///    everything -- a from-scratch oracle cannot say what changed,
-  ///    which is precisely the engine gap bench/offline_scaling
-  ///    measures.
-  ///
-  /// Every skip is of a pair that provably proposes nothing new, so the
-  /// fixpoint -- and therefore every report -- is identical across
-  /// oracles; only time and memory differ.  \p Time receives the
-  /// round's scan timings and the graph-insertion share of its update.
+  /// Every round rescans every queue in full.  With closure rows the
+  /// atomicity premises are answered a 64-bit word at a time (atomRows),
+  /// so a full rescan costs about what tracking which facts changed
+  /// since the last round would.  The only skips are of pairs that
+  /// provably propose nothing new, so the fixpoint -- and therefore
+  /// every report -- is identical across oracles; only time and memory
+  /// differ.  \p Time receives the round's scan timings and the
+  /// graph-insertion share of its update.
   ///
   /// \returns the edges added this round (already inserted into the
-  /// graph), for the oracle's delta path.
-  std::vector<HbEdge>
-  applyDerivedRules(const Reachability &Oracle, const uint8_t *ChangedRows,
-                    const std::vector<GainedWord> *Gained,
-                    HbRoundTiming &Time) {
-    // Keep rounds small: the incremental oracle makes a round-boundary
-    // refresh cheap, and the sooner the oracle reflects a chain's
-    // adjacent edges, the more wide-gap pairs the next scan skips as
-    // implied -- tighter rounds insert strictly fewer redundant edges.
+  /// graph), for the oracle's addEdges().
+  std::vector<HbEdge> applyDerivedRules(const Reachability &Oracle,
+                                        HbRoundTiming &Time) {
+    // Keep rounds small: the oracle's round-boundary update is cheap,
+    // and the sooner it reflects a chain's adjacent edges, the more
+    // wide-gap pairs the next scan skips as implied -- tighter rounds
+    // insert strictly fewer redundant edges.
     const size_t ChunkCap = G.numNodes() / 8 + 1024;
 
     RoundOracle = &Oracle;
     RoundRows = Oracle.rowsOrNull();
-    RoundChanged = ChangedRows;
-    RoundExact = Gained != nullptr;
     if (RoundRows && !HaveMasks && Opt.EnableAtomicityRule)
       buildPremiseMasks();
     if (Opt.EnableAtomicityRule && AtomCursor.size() != QueueEvents.size())
@@ -839,26 +629,20 @@ struct HbIndex::Builder {
       return Ms;
     };
 
-    // A queue participates this round unless exact fact dispatch covers
-    // it (fully seen).  The round accumulates in canonical order:
-    // dispatch, atomicity queues ascending, send queues ascending.
+    // The round accumulates in canonical order: atomicity queues
+    // ascending, then send queues ascending.
     ScanOut Main;
-    if (Gained)
-      dispatchGained(*Gained, Main);
-    Time.DispatchMillis = Lap();
     if (Opt.EnableAtomicityRule)
       for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi) {
         size_t K = QueueEvents[Qi].size();
-        if (K >= 2 && !(RoundExact && AtomCursor[Qi].Gap >= K) &&
-            scanAtomQueue(Qi, Main, ChunkCap))
+        if (K >= 2 && scanAtomQueue(Qi, Main, ChunkCap))
           AtomCursor[Qi] = {static_cast<uint32_t>(K), 0};
       }
     Time.AtomicityMillis = Lap();
     if (Opt.EnableQueueRules)
       for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi) {
         size_t K = QueueSends[Qi].size();
-        if (K >= 2 && !(RoundExact && SendCursor[Qi].Gap >= K) &&
-            scanSendQueue(Qi, Main, ChunkCap))
+        if (K >= 2 && scanSendQueue(Qi, Main, ChunkCap))
           SendCursor[Qi] = {static_cast<uint32_t>(K), 0};
       }
     Time.QueueMillis = Lap();
@@ -880,7 +664,7 @@ struct HbIndex::Builder {
     // Only edges the graph actually accepted may reach the oracle and
     // the checkpoint frontier: a rejected contradiction (corrupted
     // trace) must neither teach the oracle a fact the graph does not
-    // hold nor stall convergence by re-entering the delta every round.
+    // hold nor stall convergence by re-entering the batch every round.
     for (auto [From, To] : NewEdges)
       if (G.addEdge(From, To))
         Batch.push_back({From, To});
@@ -933,24 +717,21 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // over the replayed graph.
   ReachMode Mode = resolveReachMode(Options.Reach);
   Degrade.RequestedReach = Mode;
-  // N rows of ceil(N/64) words: a strict lower bound on what a closure
+  // N rows of ceil(N/64) words: a strict lower bound on what the closure
   // rung's budgeted build counts, so a budget below it cannot fit and
   // the rung is stepped past without allocating a probe.
   size_t N = Graph->numNodes();
   size_t RowFloorBytes = N * ((N + 63) / 64) * 8;
   for (;;) {
-    bool CannotFit =
-        (Mode == ReachMode::Incremental || Mode == ReachMode::Closure) &&
-        Options.MemLimitBytes && RowFloorBytes > Options.MemLimitBytes;
+    bool CannotFit = Mode == ReachMode::Closure && Options.MemLimitBytes &&
+                     RowFloorBytes > Options.MemLimitBytes;
     if (!CannotFit) {
       ++Degrade.ProbedRungs;
       Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes);
       if (!Reach->budgetExceeded() || Mode == ReachMode::Bfs)
         break;
     }
-    Mode = Mode == ReachMode::Incremental ? ReachMode::Closure
-           : Mode == ReachMode::Closure   ? ReachMode::Chain
-                                          : ReachMode::Bfs;
+    Mode = Mode == ReachMode::Closure ? ReachMode::Chain : ReachMode::Bfs;
   }
   Degrade.DowngradedForMemory = Mode != Degrade.RequestedReach;
   Degrade.UsedReach = Mode;
@@ -970,12 +751,10 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   };
 
   if (R) {
-    // Restore the scan frontiers: pairs the checkpointed run already
-    // evaluated are not re-proposed (their conclusions are in the
-    // replayed edges).  The first resumed round runs with no delta
-    // information (nullptr below), i.e. a conservative full pass over
-    // the unseen region -- re-evaluating a seen pair is always sound,
-    // it just proposes nothing new.
+    // Restore the scan frontiers, so the per-round edge cap cuts the
+    // resumed rounds exactly where it would have cut the uninterrupted
+    // run (re-evaluating a seen pair is always sound; it just proposes
+    // nothing new).
     if (R->AtomCursors.size() == B.QueueEvents.size())
       B.AtomCursor = R->AtomCursors;
     if (R->SendCursors.size() == B.QueueSends.size())
@@ -986,15 +765,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   if (Options.Model == OrderingModel::Cafa &&
       (Options.EnableAtomicityRule || Options.EnableQueueRules) &&
       !(R && R->Saturated)) {
-    // Semi-naive evaluation: round 0 scans everything; later rounds ask
-    // the oracle what changed -- exact premise facts if it can say
-    // (incremental sweep), per-row dirt as the coarse fallback, full
-    // re-scans when it rebuilds from scratch and cannot know.
-    B.buildFactTables();
-    Reach->setFactFilter(B.FactSources, B.FactTargets);
     Converged = false;
-    const uint8_t *ChangedRows = nullptr;
-    const std::vector<GainedWord> *Gained = nullptr;
     double LastSaveMs = 0;
     uint32_t StartRound = Stats.FixpointRounds;
     for (uint32_t Round = StartRound; Round != Options.MaxFixpointRounds;
@@ -1010,21 +781,18 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       }
       ++Stats.FixpointRounds;
       HbRoundTiming &Time = Timing.Rounds.emplace_back();
-      std::vector<HbEdge> Delta =
-          B.applyDerivedRules(*Reach, ChangedRows, Gained, Time);
-      if (Delta.empty()) {
+      std::vector<HbEdge> Added = B.applyDerivedRules(*Reach, Time);
+      if (Added.empty()) {
         Converged = true;
         break;
       }
-      // Delta protocol: the graph already holds this round's edges; the
-      // oracle either folds them in incrementally or rebuilds.
+      // The graph already holds this round's edges; the oracle folds
+      // them in.
       auto TUpdate = Now();
-      Reach->addEdges(Delta);
+      Reach->addEdges(Added);
       Time.UpdateMillis += Ms(TUpdate, Now());
-      ChangedRows = Reach->changedRows();
-      Gained = Reach->gainedWords();
-      Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
-                               Delta.end());
+      Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Added.begin(),
+                               Added.end());
       // Cadence checkpoint: a round boundary is a consistent freeze
       // point, and the frontier is edges and cursors only -- cheap to
       // copy at any cadence.
@@ -1082,10 +850,6 @@ bool HbIndex::taskOrdered(TaskId E1, TaskId E2) const {
   if (!End1.isValid() || !Begin2.isValid())
     return false;
   return Reach->reaches(End1, Begin2);
-}
-
-bool HbIndex::concurrentQueriesSafe() const {
-  return Reach->concurrentQueriesSafe();
 }
 
 void HbIndex::shedOracle() {

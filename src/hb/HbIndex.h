@@ -59,7 +59,7 @@ enum class OrderingModel : uint8_t {
 struct HbOptions {
   OrderingModel Model = OrderingModel::Cafa;
   /// Reachability oracle request.  Auto resolves through the CAFA_REACH
-  /// environment variable (request > env > Incremental, mirroring the
+  /// environment variable (request > env > Closure, mirroring the
   /// thread knobs' 0 = auto convention; see resolveReachMode).  Tests
   /// that assert mode-specific ladder behavior pin an explicit mode so
   /// the env-forced CI legs cannot skew them.
@@ -73,9 +73,9 @@ struct HbOptions {
   /// take several rounds; the cap guards against bugs, not inputs.
   uint32_t MaxFixpointRounds = 64;
   /// Graceful degradation, memory rung: when nonzero, the reachability
-  /// oracle is stepped down the ladder Incremental -> Closure -> Chain
-  /// -> Bfs until estimateReachabilityMemory() fits under this many
-  /// bytes.
+  /// oracle is stepped down the ladder Closure -> Chain -> Bfs until a
+  /// budgeted build's measured footprint fits under this many bytes
+  /// (see makeReachability's BudgetBytes).
   /// The oracles answer queries identically, so stepping down changes
   /// build time and memory but never the resulting reports.  0 = off.
   size_t MemLimitBytes = 0;
@@ -86,24 +86,15 @@ struct HbOptions {
   /// candidates, never hide one -- and degradation().DeadlineExceeded
   /// is set so downstream reports get flagged partial.  0 = off.
   double DeadlineMillis = 0;
-  /// Analysis worker threads (the --analysis-threads knob): the
-  /// detector's pair scan and the confirm replays fan out across this
-  /// many threads.  The happens-before build itself always runs on one
-  /// thread.  0 = auto: the CAFA_ANALYSIS_THREADS environment variable
-  /// if set, else hardware concurrency.  Purely a wall-clock knob --
-  /// every thread count produces bit-identical reports
-  /// (docs/robustness.md, "Parallel analysis"), which is also why the
-  /// checkpoint options digest excludes it.
-  unsigned Threads = 0;
 };
 
 /// What the graceful-degradation ladder actually did while building one
 /// HbIndex (see HbOptions::MemLimitBytes / DeadlineMillis).
 struct HbDegradation {
   /// The oracle the caller asked for.
-  ReachMode RequestedReach = ReachMode::Incremental;
+  ReachMode RequestedReach = ReachMode::Closure;
   /// The oracle actually built (== RequestedReach unless downgraded).
-  ReachMode UsedReach = ReachMode::Incremental;
+  ReachMode UsedReach = ReachMode::Closure;
   /// UsedReach was stepped down the ladder to fit MemLimitBytes.
   bool DowngradedForMemory = false;
   /// DeadlineMillis expired before the fixpoint converged; the relation
@@ -152,8 +143,6 @@ struct HbRuleStats {
 
 /// Wall time of one derived-rule fixpoint round, by phase.
 struct HbRoundTiming {
-  /// Semi-naive dispatch of the facts the last oracle update gained.
-  double DispatchMillis = 0;
   /// Atomicity premise scans over every queue's events.
   double AtomicityMillis = 0;
   /// Event-queue rule (1-4) scans over every queue's sends.
@@ -172,7 +161,8 @@ struct HbTimings {
 
 /// Scan-frontier position of one queue's gap-diagonal pair scan: every
 /// pair lexicographically below (Gap, I) has been evaluated at least
-/// once.  Gap >= the queue's element count means "fully scanned".
+/// once, and only pairs at or past it may be cut by the per-round edge
+/// cap.  Gap >= the queue's element count means "fully scanned".
 struct HbScanCursor {
   uint32_t Gap = 2;
   uint32_t I = 0;
@@ -197,8 +187,9 @@ struct HbScanCursor {
 struct HbFrontier {
   /// Oracle in use when the frontier was taken.  Informational: a resume
   /// rebuilds its own oracle from the replayed edges, under whatever
-  /// mode it was asked for.
-  ReachMode UsedReach = ReachMode::Incremental;
+  /// mode it was asked for.  Snapshots taken before the closure modes
+  /// merged may record the reserved Incremental.
+  ReachMode UsedReach = ReachMode::Closure;
   /// Fixpoint rounds completed at the freeze point.
   uint32_t RoundsDone = 0;
   /// The fixpoint converged; a resume can skip rule evaluation entirely.
@@ -278,14 +269,6 @@ public:
 
   /// Approximate analyzer memory (graph + oracle), for scaling benches.
   size_t memoryBytes() const;
-
-  /// True when happensBefore()/ordered() may be issued from several
-  /// threads at once: closure-backed oracles answer from an immutable
-  /// row matrix, the chain oracle from an immutable clock matrix (once
-  /// live).  False for the BFS floor and the chain oracle's search
-  /// phase, which reuse per-query scratch -- callers (the parallel
-  /// detector scan) must then stay sequential.
-  bool concurrentQueriesSafe() const;
 
 private:
   struct Builder;

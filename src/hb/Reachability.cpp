@@ -17,14 +17,40 @@
 
 using namespace cafa;
 
-namespace {
+bool ClosureReachability::allocateRows() {
+  size_t N = G.numNodes();
+  if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
+    return !Exceeded;
+  // Budget-tracked allocation: the sweep's dirty flags (a fixpoint run
+  // allocates them anyway) and then each row are counted as they are
+  // committed, and the build aborts past the budget (0 = unlimited),
+  // releasing everything so a failed probe leaves no high-water mark
+  // behind.
+  Dirty.assign(N, 0);
+  size_t Used = Dirty.capacity();
+  Rows.resize(N);
+  for (BitVec &Row : Rows) {
+    Row.resize(N);
+    Used += Row.memoryBytes();
+    if (Budget && Used > Budget) {
+      Rows.clear();
+      Rows.shrink_to_fit();
+      Dirty.clear();
+      Dirty.shrink_to_fit();
+      Exceeded = true;
+      return false;
+    }
+  }
+  return true;
+}
 
-/// Full rebuild of a closure row matrix, shared by both closure oracles.
-/// Node ids ascend in trace-record order and every edge points forward,
-/// so descending node id is a reverse topological order: successors'
-/// rows are final when a node is processed.  A row holds only bits
-/// above its own node, so each union can start at the successor's word.
-void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows) {
+void ClosureReachability::refresh() {
+  if (!allocateRows())
+    return; // budget exceeded: the ladder discards this oracle
+  // Node ids ascend in trace-record order and every edge points forward,
+  // so descending node id is a reverse topological order: successors'
+  // rows are final when a node is processed.  A row holds only bits
+  // above its own node, so each union can start at the successor's word.
   for (BitVec &Row : Rows)
     Row.clear();
   for (size_t I = G.numNodes(); I-- > 0;) {
@@ -34,111 +60,22 @@ void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows) {
       Row.orWithFrom(Rows[S], S);
     }
   }
-}
-
-/// Budget-tracked allocation of one N x N row matrix.  Counts each row
-/// as it is committed and aborts past the budget (0 = unlimited),
-/// releasing everything so a failed probe leaves no high-water mark
-/// behind.  \p Used carries footprint already committed by the caller
-/// (the incremental oracle's delta-tracking extras).
-bool allocateRowMatrix(std::vector<BitVec> &Rows, size_t N, size_t Budget,
-                       size_t Used) {
-  Rows.resize(N);
-  for (BitVec &Row : Rows) {
-    Row.resize(N);
-    if (Budget) {
-      Used += Row.memoryBytes();
-      if (Used > Budget) {
-        Rows.clear();
-        Rows.shrink_to_fit();
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-} // namespace
-
-bool ClosureReachability::allocateRows() {
-  size_t N = G.numNodes();
-  if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
-    return !Exceeded;
-  if (!allocateRowMatrix(Rows, N, Budget, /*Used=*/0)) {
-    Exceeded = true;
-    return false;
-  }
-  return true;
-}
-
-void ClosureReachability::refresh() {
-  if (!allocateRows())
-    return; // budget exceeded: the ladder discards this oracle
-  refreshRows(G, Rows);
-}
-
-size_t ClosureReachability::memoryBytes() const {
-  size_t Total = 0;
-  for (const BitVec &Row : Rows)
-    Total += Row.memoryBytes();
-  return Total;
-}
-
-bool IncrementalClosureReachability::allocateRows() {
-  size_t N = G.numNodes();
-  if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
-    return !Exceeded;
-  // The delta-tracking extras (dirty flags, snapshot row, fact-filter
-  // masks) are committed up front and counted against the budget: a
-  // fixpoint run will allocate them anyway, and counting them here keeps
-  // the measured footprint strictly above the plain closure's so the
-  // degradation ladder stays monotone.
-  Dirty.assign(N, 0);
-  SnapRow.resize(N);
-  SrcMask.resize(N);
-  TgtMask.resize(N);
-  size_t Extras =
-      Dirty.capacity() +
-      SnapRow.memoryBytes() + SrcMask.memoryBytes() + TgtMask.memoryBytes();
-  if (!allocateRowMatrix(Rows, N, Budget, Extras)) {
-    Exceeded = true;
-    return false;
-  }
-  return true;
-}
-
-void IncrementalClosureReachability::refresh() {
-  if (!allocateRows())
-    return; // budget exceeded: the ladder discards this oracle
-  refreshRows(G, Rows);
   KnownEdges = G.numEdges();
-  // A full rebuild loses track of which rows changed and which facts
-  // appeared.
-  DirtyValid = false;
-  FactsValid = false;
 }
 
-void IncrementalClosureReachability::addEdges(
-    std::span<const HbEdge> Edges) {
+void ClosureReachability::addEdges(std::span<const HbEdge> Edges) {
   // The protocol: the rule engine inserts exactly one round's edges into
   // the graph, then hands that batch here.  If the graph drifted (nodes
-  // appeared, or edges were added behind our back), the delta cannot be
-  // expressed -- rebuild.
+  // appeared, or edges were added behind our back), the batch does not
+  // describe the change -- rebuild.
   if (Rows.size() != G.numNodes() ||
       KnownEdges + Edges.size() != G.numEdges()) {
     refresh();
     return;
   }
   KnownEdges = G.numEdges();
-  bool Collect = HasFilter && SrcMask.size() == G.numNodes() &&
-                 TgtMask.size() == G.numNodes();
-  Gained.clear();
-  FactsValid = Collect; // an empty list is an exact "nothing changed"
-  if (Edges.empty()) {
-    Dirty.assign(G.numNodes(), 0);
-    DirtyValid = true;
+  if (Edges.empty())
     return;
-  }
 
   // Sort the batch by source id descending so one reverse-topological
   // sweep consumes it with a moving cursor.
@@ -149,33 +86,11 @@ void IncrementalClosureReachability::addEdges(
   // Nodes above the largest batch source cannot reach any new edge (all
   // paths to it would have to run backward), so the sweep starts there.
   uint32_t MaxFrom = SortedBatch.front().From.value();
-  Dirty.assign(G.numNodes(), 0);
-  if (Collect && SnapRow.size() != G.numNodes())
-    SnapRow.resize(G.numNodes());
+  std::fill(Dirty.begin(), Dirty.end(), 0);
 
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     BitVec &Row = Rows[I];
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Snapshot the live half of a row that may change and whose gained
-    // facts the filter wants, so the diff below enumerates exactly the
-    // bits this sweep adds.  Rows only change through a batch edge or a
-    // dirty successor, so everything else skips the copy.
-    bool Snap = false;
-    if (Collect && SrcMask.test(I)) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        SnapRow.assignFrom(Row, I);
-        Snap = true;
-      }
-    }
     bool Changed = false;
     // Absorb this node's batch edges: row gains {To} union row(To).
     // To > I, and the sweep already finalized every node above I, so
@@ -196,24 +111,13 @@ void IncrementalClosureReachability::addEdges(
       if (Dirty[S])
         Changed |= Row.orWithFrom(Rows[S], S);
     Dirty[I] = Changed;
-    if (Snap && Changed) {
-      for (size_t W = I >> 6, E = Row.numWords(); W != E; ++W) {
-        uint64_t D = (Row.word(W) ^ SnapRow.word(W)) & TgtMask.word(W);
-        if (D)
-          Gained.push_back({I, static_cast<uint32_t>(W), D});
-      }
-    }
   }
-  DirtyValid = true;
 }
 
-size_t IncrementalClosureReachability::memoryBytes() const {
-  size_t Total = 0;
+size_t ClosureReachability::memoryBytes() const {
+  size_t Total = Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge);
   for (const BitVec &Row : Rows)
     Total += Row.memoryBytes();
-  Total += Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge);
-  Total += SrcMask.memoryBytes() + TgtMask.memoryBytes() +
-           SnapRow.memoryBytes() + Gained.capacity() * sizeof(GainedWord);
   return Total;
 }
 
@@ -354,25 +258,20 @@ void ChainReachability::maybeBootstrap() {
   // structural cap and whatever byte budget the ladder probe imposed.
   size_t Allowance =
       Budget && Budget < MaxBootstrapBytes ? Budget : MaxBootstrapBytes;
-  if (estimateReachabilityMemory(G.numNodes(), ReachMode::Incremental) >
+  if (estimateReachabilityMemory(G.numNodes(), ReachMode::Closure) >
       Allowance) {
     Boot.reset();
     return;
   }
-  if (!Boot) {
-    Boot = std::make_unique<IncrementalClosureReachability>(G);
-    if (HasFilter)
-      Boot->setFactFilter(SrcMask, TgtMask);
-  } else {
+  if (!Boot)
+    Boot = std::make_unique<ClosureReachability>(G);
+  else
     Boot->refresh();
-  }
 }
 
 size_t ChainReachability::baseBytes() const {
   size_t Total = ChainOf.capacity() * 4 + PosInChain.capacity() * 4 +
                  Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge) +
-                 SrcMask.memoryBytes() + TgtMask.memoryBytes() +
-                 OldClock.capacity() * 4 + NewTargets.capacity() * 4 +
                  ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
                  Search.memoryBytes();
   for (const std::vector<uint32_t> &CN : ChainNodes)
@@ -442,13 +341,9 @@ void ChainReachability::refresh() {
   }
   KnownEdges = G.numEdges();
   if (buildClocks())
-    Boot.reset(); // clocks beat rows: exact deltas at linear memory
+    Boot.reset(); // clocks beat rows: O(1) queries at linear memory
   else
     maybeBootstrap();
-  // A full rebuild loses track of which rows changed and which facts
-  // appeared (same contract as the incremental closure's refresh()).
-  DirtyValid = false;
-  FactsValid = false;
 }
 
 bool ChainReachability::reaches(NodeId From, NodeId To) const {
@@ -463,100 +358,57 @@ bool ChainReachability::reaches(NodeId From, NodeId To) const {
 }
 
 void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
-  // Same drift protocol as the incremental closure: the graph must hold
-  // exactly the edges we know about plus this batch, else rebuild.
+  // Same drift protocol as the closure: the graph must hold exactly the
+  // edges we know about plus this batch, else rebuild.
   if (ChainOf.size() != G.numNodes() ||
       KnownEdges + Edges.size() != G.numEdges()) {
     refresh();
     return;
   }
   KnownEdges = G.numEdges();
-  bool Collect = ClocksValid && HasFilter &&
-                 SrcMask.size() == G.numNodes() &&
-                 TgtMask.size() == G.numNodes();
-  Gained.clear();
-  FactsValid = Collect; // an empty list is an exact "nothing changed"
-  if (Edges.empty()) {
-    Dirty.assign(G.numNodes(), 0);
-    DirtyValid = true;
+  if (Edges.empty())
     return;
-  }
 
   if (!ClocksValid) {
     // Search phase.  In the bootstrap tier the embedded closure absorbs
-    // the batch (queries, rows, and exact delta reports keep flowing
-    // through it); in the frugal tier queries read live edges and the
-    // batch needs no propagation.  Either way this round's real work is
-    // re-deriving the cover and checking whether it collapsed enough to
-    // commit the clocks.
+    // the batch (queries and rows keep flowing through it); in the
+    // frugal tier queries read live edges and the batch needs no
+    // propagation.  Either way this round's real work is re-deriving the
+    // cover and checking whether it collapsed enough to commit the
+    // clocks, which releases the bootstrap rows.
     if (Boot)
       Boot->addEdges(Edges);
     decompose();
-    if (buildClocks() && Boot) {
-      // Switch round, bootstrapped: adopt the closure's exact delta
-      // report as our own, then release the rows -- the engine sees an
-      // uninterrupted exact-delta stream across the representation
-      // change.
-      if (const uint8_t *BD = Boot->changedRows()) {
-        Dirty.assign(BD, BD + G.numNodes());
-        DirtyValid = true;
-      } else {
-        DirtyValid = false;
-      }
-      if (const std::vector<GainedWord> *BG = Boot->gainedWords()) {
-        Gained = *BG;
-        FactsValid = true;
-      } else {
-        FactsValid = false;
-      }
+    if (buildClocks())
       Boot.reset();
-      return;
-    }
-    // Frugal-tier rounds (and a frugal switch round) report no deltas;
-    // the engine treats nullptr as a conservative full re-scan, the
-    // same contract refresh() has.  Bootstrapped non-switch rounds
-    // forward the closure's reports instead (see changedRows()).
-    DirtyValid = false;
-    FactsValid = false;
     return;
   }
 
-  // Exact incremental clock update: the same descending dirty-row sweep
-  // as IncrementalClosureReachability::addEdges, with "row grew" now
-  // meaning "some chain clock decreased".  The two conditions are
-  // equivalent (a clock entry decreasing is exactly new nodes becoming
-  // reachable), so the Dirty flags -- and, below, the gained-fact
-  // stream -- come out element-wise identical to the closure oracle's.
+  // Incremental clock update: the same descending dirty-row sweep as
+  // ClosureReachability::addEdges, with "row grew" now meaning "some
+  // chain clock decreased" (a clock entry decreasing is exactly new
+  // nodes becoming reachable).
   SortedBatch.assign(Edges.begin(), Edges.end());
   std::sort(SortedBatch.begin(), SortedBatch.end(),
             [](const HbEdge &A, const HbEdge &B) { return B.From < A.From; });
   uint32_t MaxFrom = SortedBatch.front().From.value();
-  Dirty.assign(G.numNodes(), 0);
+  std::fill(Dirty.begin(), Dirty.end(), 0);
   size_t C = NumChains;
-  OldClock.resize(C);
+
+  // Row[K] = min(Row[K], Src[K]) over every chain; true if any decreased.
+  auto absorb = [C](uint32_t *Row, const uint32_t *Src) {
+    bool Changed = false;
+    for (size_t K = 0; K != C; ++K)
+      if (Src[K] < Row[K]) {
+        Row[K] = Src[K];
+        Changed = true;
+      }
+    return Changed;
+  };
 
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     uint32_t *Row = Clocks.data() + size_t(I) * C;
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Snapshot the clock row of a node that may change and whose gained
-    // facts the filter wants (rows only change through a batch edge or a
-    // dirty successor; everything else skips the copy).
-    bool Snap = false;
-    if (Collect && SrcMask.test(I)) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        std::copy(Row, Row + C, OldClock.begin());
-        Snap = true;
-      }
-    }
     bool Changed = false;
     // Absorb this node's batch edges: the row gains {To} (To's own
     // position in its chain) union To's clock row, both final -- the
@@ -570,73 +422,31 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
         Row[ChainOf[To]] = P;
         Changed = true;
       }
-      const uint32_t *TRow = Clocks.data() + size_t(To) * C;
-      for (size_t K = 0; K != C; ++K)
-        if (TRow[K] < Row[K]) {
-          Row[K] = TRow[K];
-          Changed = true;
-        }
+      Changed |= absorb(Row, Clocks.data() + size_t(To) * C);
     }
     // Re-absorb every successor whose row grew earlier in this sweep;
     // clean successors are already contained by the clock invariant.
     for (uint32_t S : G.successors(NodeId(I)))
-      if (Dirty[S]) {
-        const uint32_t *SRow = Clocks.data() + size_t(S) * C;
-        for (size_t K = 0; K != C; ++K)
-          if (SRow[K] < Row[K]) {
-            Row[K] = SRow[K];
-            Changed = true;
-          }
-      }
+      if (Dirty[S])
+        Changed |= absorb(Row, Clocks.data() + size_t(S) * C);
     Dirty[I] = Changed;
-    if (Snap && Changed) {
-      // Every decreased clock names exactly the newly reachable nodes:
-      // chain K's positions [new, old).  Collect, filter by the target
-      // mask, sort ascending (each node lives in one chain, so there
-      // are no duplicates), and word-pack -- the emission order (rows
-      // descending from the outer loop, words ascending here) is the
-      // closure oracle's snapshot-XOR order, element for element.
-      NewTargets.clear();
-      for (size_t K = 0; K != C; ++K) {
-        if (Row[K] >= OldClock[K])
-          continue;
-        const std::vector<uint32_t> &CN = ChainNodes[K];
-        uint32_t Hi = OldClock[K] == Unset
-                          ? static_cast<uint32_t>(CN.size())
-                          : OldClock[K];
-        for (uint32_t P = Row[K]; P != Hi; ++P)
-          if (TgtMask.test(CN[P]))
-            NewTargets.push_back(CN[P]);
-      }
-      if (!NewTargets.empty()) {
-        std::sort(NewTargets.begin(), NewTargets.end());
-        for (size_t J = 0; J != NewTargets.size();) {
-          uint32_t W = NewTargets[J] >> 6;
-          uint64_t Bits = 0;
-          for (; J != NewTargets.size() && (NewTargets[J] >> 6) == W; ++J)
-            Bits |= uint64_t(1) << (NewTargets[J] & 63);
-          Gained.push_back({I, W, Bits});
-        }
-      }
-    }
   }
-  DirtyValid = true;
 }
 
 size_t ChainReachability::memoryBytes() const {
   return baseBytes() + Clocks.capacity() * 4 +
-         Gained.capacity() * sizeof(GainedWord) +
          (Boot ? Boot->memoryBytes() : 0);
 }
 
 ReachMode cafa::resolveReachMode(ReachMode Requested) {
+  // The reserved incremental mode is the closure under its old name.
+  if (Requested == ReachMode::Incremental)
+    return ReachMode::Closure;
   // Request > environment > default via the shared precedence template
   // (0 = auto for the thread knobs, Auto here).
   return resolveRequestEnv<ReachMode>(
       Requested, ReachMode::Auto, "CAFA_REACH",
       [](const char *Env) -> std::optional<ReachMode> {
-        if (std::strcmp(Env, "incremental") == 0)
-          return ReachMode::Incremental;
         if (std::strcmp(Env, "closure") == 0)
           return ReachMode::Closure;
         if (std::strcmp(Env, "chain") == 0)
@@ -645,25 +455,22 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
           return ReachMode::Bfs;
         return std::nullopt;
       },
-      [] { return ReachMode::Incremental; });
+      [] { return ReachMode::Closure; });
 }
 
 std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
                                                      ReachMode Mode,
                                                      size_t BudgetBytes) {
   switch (resolveReachMode(Mode)) {
-  case ReachMode::Closure:
-    return std::make_unique<ClosureReachability>(G, BudgetBytes);
   case ReachMode::Bfs:
     // No precomputed state: nothing to budget, nothing to sweep.
     return std::make_unique<BfsReachability>(G);
   case ReachMode::Chain:
     return std::make_unique<ChainReachability>(G, BudgetBytes);
-  case ReachMode::Incremental:
-  case ReachMode::Auto: // resolveReachMode never returns Auto
+  default: // Closure; resolveReachMode never returns Incremental or Auto
     break;
   }
-  return std::make_unique<IncrementalClosureReachability>(G, BudgetBytes);
+  return std::make_unique<ClosureReachability>(G, BudgetBytes);
 }
 
 const char *cafa::reachModeName(ReachMode Mode) {
@@ -686,14 +493,6 @@ size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
   // One closure row is N bits, rounded up to whole 64-bit words.
   size_t RowBytes = ((NumNodes + 63) / 64) * 8;
   switch (resolveReachMode(Mode)) {
-  case ReachMode::Closure:
-    return NumNodes * RowBytes;
-  case ReachMode::Incremental:
-  case ReachMode::Auto: // resolveReachMode never returns Auto
-    // Rows, plus the per-node dirty flags, plus the snapshot row and the
-    // two fact-filter masks.  Strictly above the Closure estimate, which
-    // keeps the degradation ladder monotone.
-    return NumNodes * RowBytes + NumNodes + 3 * RowBytes;
   case ReachMode::Chain: {
     // Linear structures (chain ids, positions, members, dirty flags,
     // search scratch, container overhead) at ~48 bytes/node, plus the
@@ -709,6 +508,9 @@ size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
     // Per-task visited-position/version scratch plus the worklist; tasks
     // never outnumber nodes, so per-node is a safe upper bound.
     return NumNodes * 12;
+  default: // Closure; resolveReachMode never returns Incremental or Auto
+    break;
   }
-  return NumNodes * RowBytes;
+  // Rows plus the sweep's per-node dirty flags.
+  return NumNodes * RowBytes + NumNodes;
 }

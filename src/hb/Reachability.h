@@ -6,31 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Four interchangeable reachability oracles over the happens-before DAG
-/// (Section 4.2: "to test if two operations are ordered, we simply
+/// Three interchangeable reachability oracles over the happens-before
+/// DAG (Section 4.2: "to test if two operations are ordered, we simply
 /// perform a reachability test on the happens-before graph"):
 ///
-///  - ClosureReachability: full transitive closure as one bitset row per
-///    node, recomputed from scratch on every refresh().  O(1) queries,
-///    O(N^2/8) bytes -- the reference oracle and the fallback when the
-///    graph changes in ways an incremental update cannot express.
-///  - BfsReachability: per-query pruned search, no precomputation.  Slow
-///    queries, O(N) memory -- the memory-frugal alternative, compared in
-///    the ablation benchmark.
-///  - IncrementalClosureReachability: same closure matrix and O(1)
-///    queries, but after the initial build each fixpoint round only
-///    propagates the newly inserted edges backward through the existing
-///    rows (addEdges), instead of rebuilding all N rows.  The default.
+///  - ClosureReachability: transitive closure as one bitset row per node,
+///    built once and then extended by each fixpoint round's new edges
+///    (addEdges).  O(1) queries, O(N^2/8) bytes.  The default.
 ///  - ChainReachability: greedy path cover of the DAG into chains plus
 ///    one min-position clock entry per (node, chain).  O(chains) rows
 ///    instead of O(N) bits per row -- near-linear memory on the "few
 ///    chains, long chains" shape event-driven traces converge to, with
-///    the same O(1) queries and the same exact delta reports once the
-///    clocks are live (docs/chain-reachability.md).
+///    the same O(1) queries once the clocks are live
+///    (docs/chain-reachability.md).
+///  - BfsReachability: per-query pruned search, no precomputation.  Slow
+///    queries, O(N) memory -- the floor of the memory ladder.
 ///
-/// See docs/hb-reachability.md for the architecture of this layer, the
-/// complexity trade-offs (including the mode decision table), and the
-/// fixpoint-round delta protocol.
+/// See docs/hb-reachability.md for the architecture of this layer and
+/// the complexity trade-offs (including the mode decision table).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,34 +39,24 @@
 
 namespace cafa {
 
-/// One happens-before edge, as handed to the delta-aware oracle path.
+/// One happens-before edge, as handed to Reachability::addEdges.
 struct HbEdge {
   NodeId From;
   NodeId To;
-};
-
-/// One word's worth of reachability facts gained by a delta update:
-/// node From now reaches node 64 * WordIdx + b for every set bit b of
-/// Bits.  Word granularity keeps collection O(changed words) instead of
-/// O(changed bits); consumers unpack with ctz loops.
-struct GainedWord {
-  uint32_t From;
-  uint32_t WordIdx;
-  uint64_t Bits;
 };
 
 /// Which reachability oracle backs queries and rule evaluation.
 /// Serialized into checkpoints by value -- new modes append, existing
 /// values never renumber.
 enum class ReachMode : uint8_t {
-  /// Bitset transitive closure, fully rebuilt every round: O(1) queries,
-  /// O(N^2) bits.
+  /// Bitset transitive closure, extended by each fixpoint round's edges:
+  /// O(1) queries, O(N^2) bits.  The default.
   Closure,
   /// Pruned per-query search: slow queries, linear memory.
   Bfs,
-  /// Bitset transitive closure maintained incrementally across fixpoint
-  /// rounds: O(1) queries, O(N^2) bits, but each round costs only the
-  /// backward propagation of that round's delta edges.
+  /// Reserved: the retired incremental-closure mode.  Older snapshots
+  /// record it as the oracle they ran under; resolveReachMode() and
+  /// makeReachability() map it to Closure, which now does the same job.
   Incremental,
   /// Chain decomposition with per-node chain clocks: O(1) queries,
   /// O(N * chains) memory -- near-linear on event-driven traces, where
@@ -81,15 +64,15 @@ enum class ReachMode : uint8_t {
   Chain,
   /// Not an oracle: "no explicit request".  resolveReachMode() turns it
   /// into a concrete mode via the CAFA_REACH environment variable
-  /// (request > env > Incremental, mirroring the thread knobs' 0 = auto
+  /// (request > env > Closure, mirroring the thread knobs' 0 = auto
   /// convention).  Never reaches makeReachability() or a checkpoint.
   Auto,
 };
 
 /// Resolves \p Requested against the CAFA_REACH environment knob: an
-/// explicit request wins; Auto consults CAFA_REACH ("incremental",
-/// "closure", "chain", "bfs"); unset or unrecognized falls back to
-/// Incremental, the default oracle.
+/// explicit request wins (the reserved Incremental maps to Closure);
+/// Auto consults CAFA_REACH ("closure", "chain", "bfs"); unset or
+/// unrecognized falls back to Closure, the default oracle.
 ReachMode resolveReachMode(ReachMode Requested);
 
 /// A greedy path cover of the happens-before DAG into chains.  Every
@@ -130,12 +113,11 @@ public:
   /// Rebuilds any precomputed state from the graph's current edges.
   virtual void refresh() = 0;
 
-  /// Delta path, called by the rule engine after it inserts a fixpoint
-  /// round's \p Edges into the graph.  The graph already contains the
-  /// edges when this runs.  Oracles that can update incrementally
-  /// override this; the default falls back to a full refresh(), so every
-  /// oracle answers identically afterwards.
-  virtual void addEdges(std::span<const HbEdge> Edges) { refresh(); }
+  /// Called by the rule engine after it inserts a fixpoint round's
+  /// \p Edges into the graph; the graph already contains them when this
+  /// runs.  Oracles with precomputed state fold the batch in; the default
+  /// (live-edge search) has nothing to update.
+  virtual void addEdges(std::span<const HbEdge> Edges) {}
 
   /// Returns the closure row array (indexed by node id) if this oracle
   /// precomputes one, else nullptr.  The rule engine answers atomicity
@@ -143,36 +125,6 @@ public:
   /// single facts inline instead of making a virtual reaches() call per
   /// pair; non-closure oracles keep the per-pair virtual path.
   virtual const BitVec *rowsOrNull() const { return nullptr; }
-
-  /// Returns per-node flags (indexed by node id) marking the rows whose
-  /// reachable set grew during the last addEdges() call, or nullptr when
-  /// that is unknown (after a full refresh(), or for oracles without
-  /// delta tracking).  A nullptr means "assume every row changed".  The
-  /// rule engine uses this for semi-naive re-scanning: a pair whose
-  /// premise-source rows are all unchanged since its last evaluation
-  /// provably evaluates to the same outcome and is skipped.
-  virtual const uint8_t *changedRows() const { return nullptr; }
-
-  /// Installs the premise fact filter for gainedFacts().  Delta-tracking
-  /// oracles copy the masks and, on each subsequent addEdges(), record
-  /// every reachability fact From -> To that became true with \p Sources
-  /// testing From and \p Targets testing To.  The base class ignores the
-  /// call: an oracle that rebuilds from scratch cannot say which facts
-  /// are new.
-  virtual void setFactFilter(const BitVec & /*Sources*/,
-                             const BitVec & /*Targets*/) {}
-
-  /// Returns the filtered facts that became true during the last
-  /// addEdges() call (word-packed), or nullptr when unknown (no filter
-  /// installed, a full refresh() intervened, or no delta tracking).
-  /// nullptr means "assume anything may have changed"; an empty vector
-  /// is an exact "nothing relevant changed".  This is what lets the
-  /// rule engine run true semi-naive rounds: instead of re-scanning
-  /// every pair it evaluates only the pairs whose premise just
-  /// appeared.
-  virtual const std::vector<GainedWord> *gainedWords() const {
-    return nullptr;
-  }
 
   /// Approximate memory footprint in bytes (for the ablation bench, and
   /// the *measured* reading the degradation ladder records after a
@@ -185,68 +137,26 @@ public:
   /// down a rung.  Budget-free oracles always return false.
   virtual bool budgetExceeded() const { return false; }
 
-  /// True when reaches() may be issued from several threads at once.
-  /// The default covers the closure oracles: an immutable row matrix is
-  /// safe to read concurrently.  BfsReachability overrides to false
-  /// (per-query scratch); ChainReachability answers by phase (clock
-  /// lookups are safe, its search fallback is not).  The detector's
-  /// parallel pair scan gates on this.
-  virtual bool concurrentQueriesSafe() const { return rowsOrNull() != nullptr; }
-
   /// Chains in the oracle's current decomposition (0 for oracles that
   /// do not decompose).  Informational: surfaces in HbDegradation for
   /// the scaling benches' chain-count statistics.
   virtual size_t chainCount() const { return 0; }
 };
 
-/// Bitset transitive closure, rebuilt from scratch on refresh().
+/// Bitset transitive closure, built once and extended per fixpoint
+/// round.
 ///
-/// \p BudgetBytes, when nonzero, turns construction into a *measured*
-/// allocation: rows are counted as they are allocated and the build
-/// aborts (budgetExceeded()) the moment the running total passes the
-/// budget -- the adaptive-degradation ladder probes actual footprints
-/// instead of trusting estimateReachabilityMemory().
-class ClosureReachability final : public Reachability {
-public:
-  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0)
-      : G(G), Budget(BudgetBytes) {
-    refresh();
-  }
-
-  bool reaches(NodeId From, NodeId To) const override {
-    return Rows[From.index()].test(To.index());
-  }
-  void refresh() override;
-  size_t memoryBytes() const override;
-  const BitVec *rowsOrNull() const override { return Rows.data(); }
-  bool budgetExceeded() const override { return Exceeded; }
-
-  /// Direct row access for cache-friendly pair scans in the rule engine.
-  const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
-
-private:
-  /// Sizes the row matrix under the budget; false (with Exceeded set)
-  /// when it does not fit.  Idempotent once allocated.
-  bool allocateRows();
-
-  const HbGraph &G;
-  std::vector<BitVec> Rows;
-  size_t Budget = 0;
-  bool Exceeded = false;
-};
-
-/// Bitset transitive closure maintained incrementally.
-///
-/// After the initial build, each fixpoint round hands its freshly
-/// inserted edges to addEdges(), which runs one reverse-topological
-/// sweep over the id prefix [0, max batch source]: node n absorbs
-/// {v} union row(v) for each batch edge n -> v, then re-absorbs row(s)
-/// for each successor s whose row grew earlier in the same sweep
-/// ("dirty").  Edge insertion is monotone, so rows only grow and never
-/// need clearing, and a node with no batch edge and no dirty successor
-/// costs a flag scan of its adjacency list -- not a row union.  The
-/// sweep is therefore bounded above by one full rebuild and is far
-/// cheaper once the closure stabilizes and deltas shrink.
+/// refresh() rebuilds every row in one reverse-topological sweep.
+/// After that, each round hands its freshly inserted edges to
+/// addEdges(), which runs one descending sweep over the id prefix
+/// [0, max batch source]: node n absorbs {v} union row(v) for each batch
+/// edge n -> v, then re-absorbs row(s) for each successor s whose row
+/// grew earlier in the same sweep ("dirty").  Edge insertion is
+/// monotone, so rows only grow and never need clearing, and a node with
+/// no batch edge and no dirty successor costs a flag scan of its
+/// adjacency list -- not a row union.  The sweep is therefore bounded
+/// above by one full rebuild and is far cheaper once the closure
+/// stabilizes and rounds shrink.
 ///
 /// Two structural facts of the HB DAG make this work:
 ///  - node ids ascend in trace-record order and every edge points
@@ -257,16 +167,16 @@ private:
 ///  - program order chains each task's nodes, so typical adjacency
 ///    lists hold one chain edge plus few cross-task edges and the
 ///    clean-node scan is cheap.
-class IncrementalClosureReachability final : public Reachability {
+///
+/// \p BudgetBytes, when nonzero, turns construction into a *measured*
+/// allocation: rows (and the sweep's dirty flags) are counted as they
+/// are allocated and the build aborts (budgetExceeded()) the moment the
+/// running total passes the budget -- the adaptive-degradation ladder
+/// probes actual footprints instead of trusting
+/// estimateReachabilityMemory().
+class ClosureReachability final : public Reachability {
 public:
-  /// BudgetBytes: same contract as ClosureReachability.  The
-  /// budgeted build allocates the delta-tracking extras (dirty flags,
-  /// snapshot row, fact-filter masks) eagerly so the measured footprint
-  /// covers what a fixpoint run will actually commit, keeping the
-  /// measured ladder strictly above the plain closure's -- the same
-  /// ordering the static estimates promise.
-  explicit IncrementalClosureReachability(const HbGraph &G,
-                                          size_t BudgetBytes = 0)
+  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0)
       : G(G), Budget(BudgetBytes) {
     refresh();
   }
@@ -279,25 +189,10 @@ public:
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
   bool budgetExceeded() const override { return Exceeded; }
-  const uint8_t *changedRows() const override {
-    return DirtyValid ? Dirty.data() : nullptr;
-  }
-  void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
-    SrcMask = Sources;
-    TgtMask = Targets;
-    HasFilter = true;
-    FactsValid = false;
-  }
-  const std::vector<GainedWord> *gainedWords() const override {
-    return FactsValid ? &Gained : nullptr;
-  }
-
-  /// Direct row access (same contract as ClosureReachability::row).
-  const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
 
 private:
-  /// Sizes the rows and delta-tracking extras under the budget; false
-  /// (with Exceeded set) when they do not fit.  Idempotent.
+  /// Sizes the row matrix and dirty flags under the budget; false (with
+  /// Exceeded set) when they do not fit.  Idempotent once allocated.
   bool allocateRows();
 
   const HbGraph &G;
@@ -308,21 +203,9 @@ private:
   /// if the graph drifted from what it was told about.
   size_t KnownEdges = 0;
   /// Scratch for addEdges: the batch sorted by source id descending,
-  /// and a per-node "row grew during this sweep" flag.  The flags double
-  /// as the changedRows() report, valid only after a delta sweep (a full
-  /// refresh loses track of which rows changed).
+  /// and a per-node "row grew during this sweep" flag.
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  bool DirtyValid = false;
-  /// Premise fact filter (copies -- the caller's masks may not outlive
-  /// us) and the facts gained in the last delta sweep.  SnapRow is the
-  /// pre-sweep snapshot of the row being updated, diffed after its
-  /// unions to enumerate exactly the bits the sweep added.
-  BitVec SrcMask, TgtMask;
-  bool HasFilter = false;
-  std::vector<GainedWord> Gained;
-  bool FactsValid = false;
-  BitVec SnapRow;
 };
 
 /// On-demand search with per-task pruning: a visit to node n of task t
@@ -364,10 +247,8 @@ private:
 ///
 /// (the mirror image of the backward formulation clock[v][chain(u)] >=
 /// pos(u) -- forward clocks match the successor-list graph layout and
-/// the descending sweep the closure oracles already use).  The clocks
-/// are exact, so addEdges() reports the same changed-row flags and the
-/// same element-wise GainedWord stream as the incremental closure, and
-/// the rule engine's semi-naive rounds consume them unchanged.
+/// the descending sweep the closure oracle already uses).  addEdges()
+/// runs that same dirty-row sweep over clock rows.
 ///
 /// The catch: the clock matrix is N x chains, and a *base* graph is
 /// wide -- pending events are mutually unordered until the queue rules
@@ -376,20 +257,18 @@ private:
 /// dual-phase: while the greedy cover needs more than MaxChainsForClocks
 /// chains (or the clocks overrun the byte budget), it runs a *search
 /// phase*; every addEdges() re-derives the cover, and the first round
-/// whose cover fits builds the clocks and switches to exact incremental
+/// whose cover fits builds the clocks and switches to incremental clock
 /// updates.
 ///
 /// The search phase itself has two tiers, picked once per build:
-///  - Bootstrap (speed): when an incremental-closure row matrix fits
-///    within min(BudgetBytes, MaxBootstrapBytes), the oracle embeds one
-///    and forwards queries, rows, and exact delta reports to it.  Wide
+///  - Bootstrap (speed): when a closure row matrix fits within
+///    min(BudgetBytes, MaxBootstrapBytes), the oracle embeds a
+///    ClosureReachability and forwards queries and rows to it.  Wide
 ///    fixpoint rounds then run at full closure speed; the rows are
-///    released the moment the clocks commit (the switch round adopts
-///    the bootstrap's delta report, so even that round stays exact).
+///    released the moment the clocks commit.
 ///  - Frugal (memory): otherwise queries go through an embedded pruned
-///    search (BfsReachability) in O(N) memory with no delta reports
-///    (nullptr -- the engine's conservative full-rescan tier).  This is
-///    the tier million-event graphs land in, and it is why the oracle's
+///    search (BfsReachability) in O(N) memory.  This is the tier
+///    million-event graphs land in, and it is why the oracle's
 ///    steady-state memory claim survives at that scale.
 ///
 /// High-water memory is therefore min(BudgetBytes, MaxBootstrapBytes)
@@ -407,7 +286,7 @@ public:
   /// Clock value for "reaches nothing in this chain".
   static constexpr uint32_t Unset = 0xFFFFFFFFu;
   /// Structural cap on the search-phase bootstrap rows: the embedded
-  /// incremental closure is only engaged when its estimated footprint
+  /// closure is only engaged when its estimated footprint
   /// fits min(BudgetBytes, MaxBootstrapBytes).  Sized to admit every
   /// app-scale trace in the repository (<= ~20k nodes) while forcing
   /// million-event graphs into the frugal O(N) tier.
@@ -425,40 +304,16 @@ public:
   size_t memoryBytes() const override;
   bool budgetExceeded() const override { return Exceeded; }
   /// During a bootstrapped search phase the embedded closure's rows are
-  /// lent to the rule engine's inline pair scans, exactly as in
-  /// incremental mode; once the clocks commit there is no row matrix.
+  /// lent to the rule engine's inline pair scans; once the clocks commit
+  /// there is no row matrix.
   const BitVec *rowsOrNull() const override {
     return Boot ? Boot->rowsOrNull() : nullptr;
   }
-  const uint8_t *changedRows() const override {
-    if (Boot)
-      return Boot->changedRows();
-    return DirtyValid ? Dirty.data() : nullptr;
-  }
-  void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
-    SrcMask = Sources;
-    TgtMask = Targets;
-    HasFilter = true;
-    FactsValid = false;
-    if (Boot)
-      Boot->setFactFilter(Sources, Targets);
-  }
-  const std::vector<GainedWord> *gainedWords() const override {
-    if (Boot)
-      return Boot->gainedWords();
-    return FactsValid ? &Gained : nullptr;
-  }
-  /// Clock lookups are const reads of an immutable matrix, and the
-  /// bootstrap's row matrix is likewise safe; the frugal search tier
-  /// mutates per-query scratch and must stay sequential.
-  bool concurrentQueriesSafe() const override {
-    return ClocksValid || Boot != nullptr;
-  }
   size_t chainCount() const override { return NumChains; }
 
-  /// True once the clock matrix is live (the exact-delta phase).  Tests
-  /// assert this so a policy regression cannot silently demote the
-  /// differential suites to the search phase.
+  /// True once the clock matrix is live.  Tests assert this so a policy
+  /// regression cannot silently demote the differential suites to the
+  /// search phase.
   bool clocksActive() const { return ClocksValid; }
 
 private:
@@ -480,8 +335,7 @@ private:
   size_t Budget = 0;
   bool Exceeded = false;
   /// Edges reflected in the decomposition/clocks; addEdges falls back to
-  /// refresh() if the graph drifted (same protocol as the incremental
-  /// closure).
+  /// refresh() if the graph drifted (same protocol as the closure).
   size_t KnownEdges = 0;
 
   uint32_t NumChains = 0;
@@ -492,26 +346,18 @@ private:
   bool ClocksValid = false;
   std::vector<uint32_t> Clocks; // row-major, N rows of NumChains entries
 
-  /// Delta reporting (identical contract to the incremental closure).
+  /// Scratch for the clock sweep (same roles as the closure's).
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  bool DirtyValid = false;
-  BitVec SrcMask, TgtMask;
-  bool HasFilter = false;
-  std::vector<GainedWord> Gained;
-  bool FactsValid = false;
-  std::vector<uint32_t> OldClock;   // pre-sweep snapshot of one clock row
-  std::vector<uint32_t> NewTargets; // newly reachable nodes, for packing
 
   /// Search-phase query path, frugal tier (reads live edges, per-query
   /// scratch).
   BfsReachability Search;
-  /// Search-phase bootstrap tier: an embedded incremental closure that
-  /// serves queries, rows, and exact deltas while the cover is still
-  /// wide.  Engaged only when it fits min(Budget, MaxBootstrapBytes);
+  /// Search-phase bootstrap tier: an embedded closure that serves
+  /// queries and rows while the cover is still wide.  Engaged only when it fits min(Budget, MaxBootstrapBytes);
   /// released the moment the clocks commit.  Invariant: Boot is null
   /// whenever ClocksValid.
-  std::unique_ptr<IncrementalClosureReachability> Boot;
+  std::unique_ptr<ClosureReachability> Boot;
 };
 
 /// Creates the oracle selected by \p Mode.  \p BudgetBytes, when
@@ -522,8 +368,9 @@ std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
                                                ReachMode Mode,
                                                size_t BudgetBytes = 0);
 
-/// Returns a stable lowercase name for \p Mode ("incremental", "closure",
-/// "chain", "bfs", "auto"), for CLI flags and degradation diagnostics.
+/// Returns a stable lowercase name for \p Mode ("closure", "chain", "bfs",
+/// "auto", and "incremental" for the reserved mode), for CLI flags and
+/// degradation diagnostics.
 const char *reachModeName(ReachMode Mode);
 
 /// Upper-bound estimate of what the \p Mode oracle will allocate for a
@@ -532,8 +379,8 @@ const char *reachModeName(ReachMode Mode);
 /// rungs from the *measured* footprint of a budgeted build (see
 /// makeReachability's BudgetBytes); this estimate remains the planning
 /// aid for sizing limits up front and errs high, never low.  It is
-/// monotone along the ladder (Bfs < Chain < Closure < Incremental) from
-/// a few thousand nodes up; below that the chain upper bound
+/// monotone along the ladder (Bfs < Chain < Closure) from a few
+/// thousand nodes up; below that the chain upper bound
 /// (4 * min(N, MaxChainsForClocks) bytes per node) can exceed the
 /// closure's N^2/8 -- the *measured* ladder is what actually picks
 /// rungs, and a budgeted chain build degrades its clocks before
@@ -544,8 +391,8 @@ const char *reachModeName(ReachMode Mode);
 /// nonzero budget the bootstrap is only engaged when it fits the
 /// budget, so a budgeted build never overruns this estimate's caller's
 /// limit.
-/// Closure-based modes are dominated by the N x N bit matrix; Bfs keeps
-/// only per-task scratch, bounded above by per-node.
+/// The closure is dominated by the N x N bit matrix; Bfs keeps only
+/// per-task scratch, bounded above by per-node.
 size_t estimateReachabilityMemory(size_t NumNodes, ReachMode Mode);
 
 } // namespace cafa

@@ -379,7 +379,7 @@ TEST(HbIndexTest, AtomicityOrdersAMidEntryEventUnderEveryOracle) {
     Trace T = TB.take();
     TaskIndex Index(T);
     for (ReachMode Mode :
-         {ReachMode::Incremental, ReachMode::Chain, ReachMode::Bfs}) {
+         {ReachMode::Closure, ReachMode::Chain, ReachMode::Bfs}) {
       SCOPED_TRACE(reachModeName(Mode));
       HbOptions Opt;
       Opt.Reach = Mode;
@@ -461,8 +461,8 @@ TEST(HbIndexTest, AtomicityProposalsOverTheRoundCapMatchAcrossOracles) {
     EXPECT_EQ(R.Final.Stats.FixpointRounds, 3u);
     return R;
   };
-  Run Ref = runUnder(ReachMode::Incremental);
-  for (ReachMode Mode : {ReachMode::Closure, ReachMode::Chain}) {
+  Run Ref = runUnder(ReachMode::Closure);
+  for (ReachMode Mode : {ReachMode::Chain}) {
     SCOPED_TRACE(reachModeName(Mode));
     Run R = runUnder(Mode);
     for (const HbFrontier *F : {&R.First, &R.Final}) {

@@ -5,12 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Property tests: the four reachability oracles must agree on every
+// Property tests: the three reachability oracles must agree on every
 // query over randomly generated (but structurally valid) traces -- both
-// through the full HbIndex fixpoint and under raw random DAGs with
-// incremental edge batches -- the chain oracle's delta reports must be
-// element-wise identical to the incremental closure's, and the
-// happens-before relation must be a strict partial order.
+// through the full HbIndex fixpoint and under raw random DAGs grown by
+// edge batches -- and the happens-before relation must be a strict
+// partial order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -171,9 +170,6 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
   HbOptions BfsOpt;
   BfsOpt.Reach = ReachMode::Bfs;
   HbIndex HbBfs(T, Index, BfsOpt);
-  HbOptions IncOpt;
-  IncOpt.Reach = ReachMode::Incremental;
-  HbIndex HbInc(T, Index, IncOpt);
   HbOptions ChainOpt;
   ChainOpt.Reach = ReachMode::Chain;
   HbIndex HbChain(T, Index, ChainOpt);
@@ -186,8 +182,6 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
     uint32_t B = static_cast<uint32_t>(R.below(N));
     bool Expected = HbClosure.happensBefore(A, B);
     EXPECT_EQ(Expected, HbBfs.happensBefore(A, B))
-        << "records " << A << " -> " << B;
-    EXPECT_EQ(Expected, HbInc.happensBefore(A, B))
         << "records " << A << " -> " << B;
     EXPECT_EQ(Expected, HbChain.happensBefore(A, B))
         << "records " << A << " -> " << B;
@@ -229,15 +223,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReachabilityPropertyTest,
 
 /// Differential test of the oracle layer itself: random DAGs (the
 /// program-order skeleton of a random trace) grown by random batches of
-/// forward edges, with the incremental and chain oracles exercising an
-/// arbitrary interleaving of their addEdges delta path and full
-/// refresh() rebuilds.  After every batch all four oracles must agree
-/// on reaches(u, v) -- the closures and the chain clocks exhaustively,
-/// the BFS on a sample -- and the chain oracle's delta stream must be
-/// element-wise identical to the incremental closure's.  Over the same
-/// trace, the rule engine's two premise paths -- closure-row words
-/// (Incremental) and per-pair queries (Bfs) -- must derive the same
-/// edges in the same order, with the same counters and scan cursors.
+/// forward edges, with the closure and chain oracles exercising an
+/// arbitrary interleaving of their addEdges sweep and full refresh()
+/// rebuilds.  After every batch both must agree on reaches(u, v) with a
+/// closure freshly built over the grown graph -- exhaustively on small
+/// graphs -- and the BFS on a sample.  Over the same trace, the rule
+/// engine's two premise paths -- closure-row words (Closure) and
+/// per-pair queries (Bfs) -- must derive the same edges in the same
+/// order, with the same counters and scan cursors.
 class IncrementalDifferentialTest : public testing::TestWithParam<uint64_t> {
 };
 
@@ -248,7 +241,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   TaskIndex Index(T);
   {
     HbOptions WordOpt, PairOpt;
-    WordOpt.Reach = ReachMode::Incremental;
+    WordOpt.Reach = ReachMode::Closure;
     PairOpt.Reach = ReachMode::Bfs;
     HbIndex Word(T, Index, WordOpt);
     HbIndex Pair(T, Index, PairOpt);
@@ -282,37 +275,19 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
 
   ClosureReachability Closure(G);
   BfsReachability Bfs(G);
-  IncrementalClosureReachability Inc(G);
   ChainReachability Chain(G);
   // The program-order skeleton is a disjoint union of task chains, so
   // the greedy cover is narrow and the clock matrix must be live; the
   // assertion keeps a policy regression from silently demoting every
   // query to the search phase (which would still pass the agreement
-  // checks but void the delta-parity ones).
+  // checks but leave the clock sweep untested).
   ASSERT_TRUE(Chain.clocksActive()) << "seed " << Seed;
 
   Rng R(Seed ^ 0x5EED5EEDull);
   uint32_t N = static_cast<uint32_t>(G.numNodes());
   ASSERT_GT(N, 1u);
 
-  // Exercise the delta-report surface too: with an all-ones fact filter,
-  // gainedWords() must enumerate exactly the facts each delta sweep adds
-  // and changedRows() must cover every row that grew.
-  BitVec AllNodes(N);
-  for (uint32_t I = 0; I != N; ++I)
-    AllNodes.set(I);
-  Inc.setFactFilter(AllNodes, AllNodes);
-  Chain.setFactFilter(AllNodes, AllNodes);
-
   for (int Batch = 0; Batch != 4; ++Batch) {
-    // Brute-force pre-batch relation, for diffing the delta reports.
-    std::vector<uint8_t> Prev;
-    if (N <= 160) {
-      Prev.assign(size_t(N) * N, 0);
-      for (uint32_t U = 0; U != N; ++U)
-        for (uint32_t V = 0; V != N; ++V)
-          Prev[size_t(U) * N + V] = Inc.reaches(NodeId(U), NodeId(V));
-    }
     // Grow the DAG by a random batch of forward edges (node ids ascend
     // in record order, so A < B keeps every edge forward / acyclic).
     std::vector<HbEdge> Edges;
@@ -327,111 +302,44 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
       Edges.push_back({NodeId(A), NodeId(B)});
     }
 
-    Closure.refresh();
-    bool UsedDelta = !R.chance(1, 3);
-    if (UsedDelta) {
-      Inc.addEdges(Edges);
+    if (!R.chance(1, 3)) {
+      Closure.addEdges(Edges);
       Chain.addEdges(Edges);
     } else {
-      Inc.refresh(); // interleave full rebuilds with delta updates
+      Closure.refresh(); // interleave full rebuilds with batch sweeps
       Chain.refresh();
     }
     ASSERT_TRUE(Chain.clocksActive())
         << "seed " << Seed << " batch " << Batch;
+    const ClosureReachability Fresh(G);
 
-    // The closure oracles and the chain clocks must agree bit for bit.
+    auto Agree = [&](uint32_t U, uint32_t V) {
+      bool Expected = Fresh.reaches(NodeId(U), NodeId(V));
+      ASSERT_EQ(Expected, Closure.reaches(NodeId(U), NodeId(V)))
+          << "seed " << Seed << " batch " << Batch << " closure " << U
+          << "->" << V;
+      ASSERT_EQ(Expected, Chain.reaches(NodeId(U), NodeId(V)))
+          << "seed " << Seed << " batch " << Batch << " chain " << U
+          << "->" << V;
+    };
+    // The maintained closure and the chain clocks must agree bit for bit
+    // with the fresh closure.
     if (N <= 160) {
       for (uint32_t U = 0; U != N; ++U)
-        for (uint32_t V = 0; V != N; ++V) {
-          ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
-                    Inc.reaches(NodeId(U), NodeId(V)))
-              << "seed " << Seed << " batch " << Batch << " " << U << "->"
-              << V;
-          ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
-                    Chain.reaches(NodeId(U), NodeId(V)))
-              << "seed " << Seed << " batch " << Batch << " " << U << "->"
-              << V;
-        }
+        for (uint32_t V = 0; V != N; ++V)
+          ASSERT_NO_FATAL_FAILURE(Agree(U, V));
     } else {
-      for (int Q = 0; Q != 4000; ++Q) {
-        uint32_t U = static_cast<uint32_t>(R.below(N));
-        uint32_t V = static_cast<uint32_t>(R.below(N));
-        ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
-                  Inc.reaches(NodeId(U), NodeId(V)))
-            << "seed " << Seed << " batch " << Batch << " " << U << "->"
-            << V;
-        ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
-                  Chain.reaches(NodeId(U), NodeId(V)))
-            << "seed " << Seed << " batch " << Batch << " " << U << "->"
-            << V;
-      }
+      for (int Q = 0; Q != 4000; ++Q)
+        ASSERT_NO_FATAL_FAILURE(Agree(static_cast<uint32_t>(R.below(N)),
+                                      static_cast<uint32_t>(R.below(N))));
     }
     // The search oracle agrees on a sample (per-query cost is higher).
     for (int Q = 0; Q != 250; ++Q) {
       uint32_t U = static_cast<uint32_t>(R.below(N));
       uint32_t V = static_cast<uint32_t>(R.below(N));
-      ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
+      ASSERT_EQ(Fresh.reaches(NodeId(U), NodeId(V)),
                 Bfs.reaches(NodeId(U), NodeId(V)))
           << "seed " << Seed << " batch " << Batch << " " << U << "->" << V;
-    }
-
-    // Delta reports: a full rebuild cannot say what changed; a delta
-    // sweep must report exactly the facts it added.  The chain oracle
-    // promises the *same* delta stream as the incremental closure --
-    // same dirty rows, and gained words element-wise equal, in order
-    // (the rule engine's scan order feeds off the stream, so "same set,
-    // different order" would not be good enough).
-    if (!UsedDelta) {
-      EXPECT_EQ(Inc.changedRows(), nullptr);
-      EXPECT_EQ(Inc.gainedWords(), nullptr);
-      EXPECT_EQ(Chain.changedRows(), nullptr);
-      EXPECT_EQ(Chain.gainedWords(), nullptr);
-    } else {
-      const uint8_t *CI = Inc.changedRows(), *CC = Chain.changedRows();
-      ASSERT_NE(CI, nullptr);
-      ASSERT_NE(CC, nullptr);
-      for (uint32_t U = 0; U != N; ++U)
-        ASSERT_EQ(CI[U], CC[U]) << "seed " << Seed << " batch " << Batch
-                                << " dirty row " << U;
-      const std::vector<GainedWord> *GI = Inc.gainedWords();
-      const std::vector<GainedWord> *GC = Chain.gainedWords();
-      ASSERT_NE(GI, nullptr);
-      ASSERT_NE(GC, nullptr);
-      ASSERT_EQ(GI->size(), GC->size())
-          << "seed " << Seed << " batch " << Batch;
-      for (size_t I = 0; I != GI->size(); ++I) {
-        ASSERT_EQ((*GI)[I].From, (*GC)[I].From)
-            << "seed " << Seed << " batch " << Batch << " word " << I;
-        ASSERT_EQ((*GI)[I].WordIdx, (*GC)[I].WordIdx)
-            << "seed " << Seed << " batch " << Batch << " word " << I;
-        ASSERT_EQ((*GI)[I].Bits, (*GC)[I].Bits)
-            << "seed " << Seed << " batch " << Batch << " word " << I;
-      }
-    }
-    if (UsedDelta && N <= 160) {
-      const uint8_t *CR = Inc.changedRows();
-      const std::vector<GainedWord> *GW = Inc.gainedWords();
-      ASSERT_NE(CR, nullptr);
-      ASSERT_NE(GW, nullptr);
-      std::vector<uint8_t> Reported(size_t(N) * N, 0);
-      for (const GainedWord &W : *GW)
-        for (uint64_t Bits = W.Bits; Bits; Bits &= Bits - 1)
-          Reported[size_t(W.From) * N + W.WordIdx * 64 +
-                   static_cast<uint32_t>(__builtin_ctzll(Bits))] = 1;
-      for (uint32_t U = 0; U != N; ++U) {
-        bool RowGrew = false;
-        for (uint32_t V = 0; V != N; ++V) {
-          bool New = Inc.reaches(NodeId(U), NodeId(V)) &&
-                     !Prev[size_t(U) * N + V];
-          RowGrew |= New;
-          ASSERT_EQ(static_cast<bool>(Reported[size_t(U) * N + V]), New)
-              << "seed " << Seed << " batch " << Batch << " gained fact "
-              << U << "->" << V;
-        }
-        if (RowGrew)
-          ASSERT_TRUE(CR[U]) << "seed " << Seed << " batch " << Batch
-                             << " row " << U << " grew but is not dirty";
-      }
     }
   }
 }
@@ -443,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds100, IncrementalDifferentialTest,
 /// node ids, then dense batches of cross-chain edges.  Every batch
 /// forces the chain oracle to widen clock rows across most chains at
 /// once (the worst case for the incremental min-merge sweep), and the
-/// delta stream must still match the incremental closure word for word.
+/// clocks must still agree with the closure's rows pair for pair.
 TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
   constexpr uint32_t NumThreads = 12, ReadsPerThread = 40;
   TraceBuilder TB;
@@ -463,18 +371,12 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
   TaskIndex Index(T);
   HbGraph G(T, Index);
 
-  IncrementalClosureReachability Inc(G);
+  ClosureReachability Closure(G);
   ChainReachability Chain(G);
   ASSERT_TRUE(Chain.clocksActive());
   ASSERT_GE(Chain.chainCount(), size_t(NumThreads));
 
   uint32_t N = static_cast<uint32_t>(G.numNodes());
-  BitVec AllNodes(N);
-  for (uint32_t I = 0; I != N; ++I)
-    AllNodes.set(I);
-  Inc.setFactFilter(AllNodes, AllNodes);
-  Chain.setFactFilter(AllNodes, AllNodes);
-
   Rng R(0xC4A1Full);
   for (int Batch = 0; Batch != 8; ++Batch) {
     std::vector<HbEdge> Edges;
@@ -487,32 +389,23 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
       G.addEdge(NodeId(A), NodeId(B));
       Edges.push_back({NodeId(A), NodeId(B)});
     }
-    Inc.addEdges(Edges);
+    Closure.addEdges(Edges);
     Chain.addEdges(Edges);
     ASSERT_TRUE(Chain.clocksActive()) << "batch " << Batch;
 
     for (uint32_t U = 0; U != N; ++U)
       for (uint32_t V = 0; V != N; ++V)
-        ASSERT_EQ(Inc.reaches(NodeId(U), NodeId(V)),
+        ASSERT_EQ(Closure.reaches(NodeId(U), NodeId(V)),
                   Chain.reaches(NodeId(U), NodeId(V)))
             << "batch " << Batch << " " << U << "->" << V;
-
-    const uint8_t *CI = Inc.changedRows(), *CC = Chain.changedRows();
-    ASSERT_NE(CI, nullptr);
-    ASSERT_NE(CC, nullptr);
-    for (uint32_t U = 0; U != N; ++U)
-      ASSERT_EQ(CI[U], CC[U]) << "batch " << Batch << " row " << U;
-    const std::vector<GainedWord> *GI = Inc.gainedWords();
-    const std::vector<GainedWord> *GC = Chain.gainedWords();
-    ASSERT_NE(GI, nullptr);
-    ASSERT_NE(GC, nullptr);
-    ASSERT_EQ(GI->size(), GC->size()) << "batch " << Batch;
-    for (size_t I = 0; I != GI->size(); ++I) {
-      ASSERT_EQ((*GI)[I].From, (*GC)[I].From) << "word " << I;
-      ASSERT_EQ((*GI)[I].WordIdx, (*GC)[I].WordIdx) << "word " << I;
-      ASSERT_EQ((*GI)[I].Bits, (*GC)[I].Bits) << "word " << I;
-    }
   }
+  // The swept rows end where a from-scratch build lands.
+  const ClosureReachability Fresh(G);
+  for (uint32_t U = 0; U != N; ++U)
+    for (uint32_t V = 0; V != N; ++V)
+      ASSERT_EQ(Fresh.reaches(NodeId(U), NodeId(V)),
+                Closure.reaches(NodeId(U), NodeId(V)))
+          << U << "->" << V;
 }
 
 } // namespace

@@ -5,37 +5,30 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel-analysis determinism contract (docs/robustness.md): for
-// every thread count, the analysis -- whose detector pair scan fans out
-// across the pool -- must render byte-identical reports.
-// Pinned three ways: over the committed trace fixtures, over randomized
-// traces (100 seeds), and at the process level with SIGKILL landing
-// mid-run while CAFA_ANALYSIS_THREADS=4.
+// The thread-count contract of the analysis pipeline, end to end: the
+// trace text is ingested by the sharded lexer at every thread count
+// (--ingest-threads) and must render byte-identical reports.  Pinned
+// over the committed trace fixtures and over randomized traces (100
+// seeds), with shards small enough that every trace is split.  The
+// happens-before build and the detector scan are single-threaded; the
+// confirm pool's cross-thread pin lives in ConfirmTest.
 //
 //===----------------------------------------------------------------------===//
 
-#include "apps/AppKit.h"
 #include "cafa/Cafa.h"
 #include "cafa/ReportJson.h"
-#include "rt/Runtime.h"
 #include "support/Rng.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
-#include "TestScratch.h"
-
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
+#include <algorithm>
 #include <dirent.h>
 #include <fstream>
 #include <string>
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 #include <vector>
 
 using namespace cafa;
@@ -62,12 +55,18 @@ std::vector<std::string> fixtureFiles() {
   return Files;
 }
 
-/// Both renderings of an analysis at \p Threads analysis threads.
-std::pair<std::string, std::string> renderAt(const Trace &T,
+/// Both renderings of the analysis of \p Text ingested at \p Threads
+/// lexer threads, in 4 KB shards; empty when ingestion rejects it.
+std::pair<std::string, std::string> renderAt(const std::string &Text,
                                              unsigned Threads) {
-  DetectorOptions Opt;
-  Opt.Hb.Threads = Threads;
-  AnalysisResult R = analyzeTrace(T, Opt);
+  IngestOptions O;
+  O.Threads = Threads;
+  O.ShardBytes = 4096;
+  Trace T;
+  IngestReport Ingest;
+  if (!ingestTrace(Text, T, Ingest, O).ok())
+    return {};
+  AnalysisResult R = analyzeTrace(T, DetectorOptions());
   return {renderRaceReport(R.Report, T), renderRaceReportJson(R.Report, T)};
 }
 
@@ -76,14 +75,10 @@ TEST(AnalysisThreadsTest, FixturesByteIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(Files.empty());
   for (const std::string &Path : Files) {
     SCOPED_TRACE(Path);
-    Trace T;
-    IngestReport Ingest;
-    Status S = ingestTrace(readFile(Path), T, Ingest);
-    if (!S.ok())
-      continue; // rejected fixtures are ingest-layer tests, not ours
-    auto [RefText, RefJson] = renderAt(T, 1);
+    std::string Input = readFile(Path);
+    auto [RefText, RefJson] = renderAt(Input, 1);
     for (unsigned Threads : {2u, 4u, 8u}) {
-      auto [Text, Json] = renderAt(T, Threads);
+      auto [Text, Json] = renderAt(Input, Threads);
       EXPECT_EQ(Text, RefText) << Threads << " threads";
       EXPECT_EQ(Json, RefJson) << Threads << " threads";
     }
@@ -184,9 +179,12 @@ class RandomThreadParityTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(RandomThreadParityTest, ReportsByteIdenticalAcrossThreadCounts) {
   Trace T = randomPtrTrace(GetParam() * 2654435761u + 11, 250);
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
-  auto [RefText, RefJson] = renderAt(T, 1);
+  std::string Input = serializeTrace(T);
+  ASSERT_GT(Input.size(), 2 * 4096u) << "seed " << GetParam(); // split
+  auto [RefText, RefJson] = renderAt(Input, 1);
+  ASSERT_FALSE(RefJson.empty()) << "seed " << GetParam();
   for (unsigned Threads : {4u, 8u}) {
-    auto [Text, Json] = renderAt(T, Threads);
+    auto [Text, Json] = renderAt(Input, Threads);
     ASSERT_EQ(Text, RefText) << "seed " << GetParam() << " at " << Threads
                              << " threads";
     ASSERT_EQ(Json, RefJson) << "seed " << GetParam() << " at " << Threads
@@ -196,144 +194,5 @@ TEST_P(RandomThreadParityTest, ReportsByteIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds100, RandomThreadParityTest,
                          testing::Range<uint64_t>(0, 100));
-
-TEST(AnalysisThreadsTest, CheckpointCutAtOneThreadResumesAtFour) {
-  // Thread count is excluded from the checkpoint options digest on
-  // purpose: a snapshot cut at one thread count must resume cleanly at
-  // another and still match the uninterrupted report byte for byte.
-  apps::AppBuilder App("xthreads");
-  App.seedIntraThreadRace("alpha");
-  App.seedInterThreadRace("beta");
-  App.fillVolumeTo(300);
-  Table1Row Dummy;
-  Trace T = runScenario(App.finish(Dummy).S, RuntimeOptions());
-
-  std::string Dir = testScratchDir() + "/cafa_xthreads_ckpt";
-  ::mkdir(Dir.c_str(), 0755);
-  std::remove(checkpointPath(Dir).c_str());
-
-  DetectorOptions Ref;
-  Ref.Hb.Threads = 1;
-  AnalysisResult Clean = analyzeTrace(T, Ref);
-  ASSERT_FALSE(Clean.Report.Partial);
-
-  DetectorOptions Tiny = Ref;
-  Tiny.DeadlineMillis = 1e-6;
-  AnalysisOptions CutOpt(Tiny);
-  CutOpt.Checkpoint.Directory = Dir;
-  AnalysisResult Cut = analyzeTrace(T, CutOpt);
-  ASSERT_TRUE(Cut.Report.Partial);
-
-  DetectorOptions Par;
-  Par.Hb.Threads = 4;
-  AnalysisOptions ResumeOpt(Par);
-  ResumeOpt.Checkpoint.Directory = Dir;
-  ResumeOpt.Checkpoint.Resume = true;
-  AnalysisResult Resumed = analyzeTrace(T, ResumeOpt);
-  ASSERT_TRUE(Resumed.Resume.Resumed) << Resumed.Resume.RejectReason;
-  EXPECT_FALSE(Resumed.Report.Partial);
-  EXPECT_EQ(renderRaceReportJson(Resumed.Report, T),
-            renderRaceReportJson(Clean.Report, T));
-  std::remove(checkpointPath(Dir).c_str());
-}
-
-/// fork/exec the analyzer with CAFA_ANALYSIS_THREADS=4 in the child's
-/// environment, capturing stdout; SIGKILL after \p KillAfterMillis
-/// unless it exits first (mirrors CrashRecoveryTest::runAnalyzer).
-struct RunResult {
-  int ExitCode = -1;
-  bool Killed = false;
-  std::string Out;
-};
-
-RunResult runParallelAnalyzer(const std::vector<std::string> &Args,
-                              const std::string &ScratchDir,
-                              int KillAfterMillis = -1) {
-  RunResult R;
-  std::string OutPath = ScratchDir + "/stdout";
-  std::string ErrPath = ScratchDir + "/stderr";
-  pid_t Pid = ::fork();
-  if (Pid == 0) {
-    ::setenv("CAFA_ANALYSIS_THREADS", "4", 1);
-    std::freopen(OutPath.c_str(), "wb", stdout);
-    std::freopen(ErrPath.c_str(), "wb", stderr);
-    std::vector<char *> Argv;
-    Argv.push_back(const_cast<char *>(OFFLINE_ANALYZER_PATH));
-    for (const std::string &A : Args)
-      Argv.push_back(const_cast<char *>(A.c_str()));
-    Argv.push_back(nullptr);
-    ::execv(OFFLINE_ANALYZER_PATH, Argv.data());
-    _exit(127);
-  }
-  if (Pid < 0) {
-    ADD_FAILURE() << "fork failed";
-    return R;
-  }
-  int Status = 0;
-  if (KillAfterMillis >= 0) {
-    int Waited = 0;
-    for (;;) {
-      pid_t Done = ::waitpid(Pid, &Status, WNOHANG);
-      if (Done == Pid)
-        break;
-      if (Waited >= KillAfterMillis) {
-        ::kill(Pid, SIGKILL);
-        ::waitpid(Pid, &Status, 0);
-        break;
-      }
-      ::usleep(1000);
-      ++Waited;
-    }
-  } else {
-    ::waitpid(Pid, &Status, 0);
-  }
-  R.Killed = WIFSIGNALED(Status);
-  if (WIFEXITED(Status))
-    R.ExitCode = WEXITSTATUS(Status);
-  R.Out = readFile(OutPath);
-  return R;
-}
-
-TEST(AnalysisThreadsTest, SigkillUnderParallelAnalysisResumesByteIdentical) {
-  std::string Scratch = testScratchDir() + "/cafa_parallel_kill";
-  ::mkdir(Scratch.c_str(), 0755);
-  std::string TracePath = Scratch + "/app.trace";
-
-  apps::AppBuilder App("parkill");
-  App.seedIntraThreadRace("alpha");
-  App.seedInterThreadRace("beta");
-  App.addGuardedCommutativePair("delta");
-  App.fillVolumeTo(600);
-  Table1Row Dummy;
-  Trace T = runScenario(App.finish(Dummy).S, RuntimeOptions());
-  ASSERT_TRUE(writeTraceFile(T, TracePath).ok());
-
-  RunResult Ref =
-      runParallelAnalyzer({"analyze", TracePath, "--json"}, Scratch);
-  ASSERT_FALSE(Ref.Killed);
-  ASSERT_TRUE(Ref.ExitCode == 0 || Ref.ExitCode == 1);
-
-  for (int Delay : {2, 8, 25}) {
-    SCOPED_TRACE("kill after " + std::to_string(Delay) + "ms");
-    std::string Dir = Scratch + "/kill_" + std::to_string(Delay);
-    ::mkdir(Dir.c_str(), 0755);
-    std::remove(checkpointPath(Dir).c_str());
-    RunResult First = runParallelAnalyzer({"analyze", TracePath, "--json",
-                                           "--checkpoint-dir=" + Dir,
-                                           "--checkpoint-every=1"},
-                                          Dir, Delay);
-    if (!First.Killed) {
-      EXPECT_EQ(First.Out, Ref.Out);
-      continue;
-    }
-    RunResult Resumed = runParallelAnalyzer(
-        {"analyze", TracePath, "--json", "--checkpoint-dir=" + Dir,
-         "--checkpoint-every=1", "--resume"},
-        Dir);
-    ASSERT_FALSE(Resumed.Killed);
-    EXPECT_TRUE(Resumed.ExitCode == 4 || Resumed.ExitCode == Ref.ExitCode);
-    EXPECT_EQ(Resumed.Out, Ref.Out);
-  }
-}
 
 } // namespace

@@ -313,7 +313,7 @@ TEST(CheckpointTest, MidFlightHbFrontierResumesToSameRelation) {
 }
 
 TEST(CheckpointTest, HbDeadlineCutUnderChainResumesBitIdentical) {
-  // Same cut/resume contract as the incremental-mode test above, with
+  // Same cut/resume contract as the default-oracle test above, with
   // the chain oracle pinned end to end -- and the resumed chain report
   // must also match a default-oracle clean run, because no oracle choice
   // is allowed to change a report.
@@ -425,13 +425,13 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
   // "Every resume rebuilds the oracle").
   Trace T = buildAppTrace();
   TaskIndex Index(T);
-  const ReachMode Modes[] = {ReachMode::Incremental, ReachMode::Closure,
-                             ReachMode::Chain, ReachMode::Bfs};
+  const ReachMode Modes[] = {ReachMode::Closure, ReachMode::Chain,
+                             ReachMode::Bfs};
 
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
   HbOptions Free;
-  Free.Reach = ReachMode::Incremental;
+  Free.Reach = ReachMode::Closure;
   HbIndex CleanIdx(T, Index, Free);
   RaceReport Clean = detectUseFreeRaces(T, Index, Db, CleanIdx, Opt);
   ASSERT_GT(Clean.Races.size(), 0u); // the comparisons are not vacuous
@@ -526,6 +526,39 @@ TEST(CheckpointTest, V4SnapshotIsRejectedToACleanRestart) {
   EXPECT_NE(R.Resume.RejectReason.find("unsupported snapshot version 4"),
             std::string::npos)
       << R.Resume.RejectReason;
+  EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
+  EXPECT_EQ(renderRaceReportJson(R.Report, T),
+            renderRaceReportJson(Clean.Report, T));
+}
+
+TEST(CheckpointTest, SnapshotRecordingTheRetiredIncrementalModeResumes) {
+  // Snapshots written before the closure oracles merged record the
+  // reserved Incremental as the oracle they ran under.  The field is
+  // informational: such a v5 snapshot must still be accepted, and the
+  // resume rebuilds the default closure and ends byte-identical.
+  Trace T = buildAppTrace();
+  std::string Dir = freshCheckpointDir("incremental");
+  std::string Path = checkpointPath(Dir);
+  AnalysisResult Clean = analyzeTrace(T, DetectorOptions());
+  ASSERT_GT(Clean.Report.Races.size(), 0u);
+
+  DetectorOptions Tiny;
+  Tiny.DeadlineMillis = 1e-6;
+  CheckpointOptions Ckpt;
+  Ckpt.Directory = Dir;
+  ASSERT_TRUE(analyzeTrace(T, withCheckpoint(Tiny, Ckpt)).Report.Partial);
+  AnalysisSnapshot Snap;
+  ASSERT_TRUE(loadAnalysisSnapshot(Snap, Path).ok());
+  Snap.Hb.UsedReach = ReachMode::Incremental;
+  ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
+
+  DetectorOptions Closure;
+  Closure.Hb.Reach = ReachMode::Closure; // pinned: CI reach legs
+  Ckpt.Resume = true;
+  AnalysisResult R = analyzeTrace(T, withCheckpoint(Closure, Ckpt));
+  EXPECT_TRUE(R.Resume.Resumed) << R.Resume.RejectReason;
+  EXPECT_FALSE(R.Report.Partial);
+  EXPECT_EQ(R.Degradation.UsedReach, ReachMode::Closure);
   EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
   EXPECT_EQ(renderRaceReportJson(R.Report, T),
             renderRaceReportJson(Clean.Report, T));

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The graceful-degradation ladder end to end: a memory ceiling steps the
-// reachability oracle down Incremental -> Closure -> Bfs with
-// bit-identical reports, and a blown wall-clock deadline produces a
+// reachability oracle down Closure -> Chain -> Bfs with bit-identical
+// reports, and a blown wall-clock deadline produces a
 // partial report flagged with a machine-readable cause.
 //
 //===----------------------------------------------------------------------===//
@@ -41,11 +41,12 @@ Trace buildAppTrace() {
 
 TEST(DegradationTest, EstimatesAreMonotoneAlongTheLadder) {
   for (size_t N : {200u, 5000u, 100000u}) {
-    size_t Inc = estimateReachabilityMemory(N, ReachMode::Incremental);
     size_t Clo = estimateReachabilityMemory(N, ReachMode::Closure);
     size_t Bfs = estimateReachabilityMemory(N, ReachMode::Bfs);
     EXPECT_LT(Bfs, Clo) << N;
-    EXPECT_LT(Clo, Inc) << N;
+    // The reserved incremental mode is the closure under its old name.
+    EXPECT_EQ(estimateReachabilityMemory(N, ReachMode::Incremental), Clo)
+        << N;
     // Chain sits between Bfs and Closure only once the quadratic closure
     // estimate overtakes the O(N * MaxChainsForClocks) clock matrix --
     // roughly N > 4500.  Below that the ladder's Closure -> Chain step
@@ -64,15 +65,15 @@ TEST(DegradationTest, MemoryCeilingFallsBackToBfsBitIdentical) {
   // Pin the request: this test asserts which rung the ladder lands on,
   // so the CAFA_REACH-forced CI legs must not redirect the default.
   DetectorOptions Pinned;
-  Pinned.Hb.Reach = ReachMode::Incremental;
+  Pinned.Hb.Reach = ReachMode::Closure;
   AnalysisResult Full = analyzeTrace(T, Pinned);
-  EXPECT_EQ(Full.Degradation.UsedReach, ReachMode::Incremental);
+  EXPECT_EQ(Full.Degradation.UsedReach, ReachMode::Closure);
   EXPECT_FALSE(Full.Degradation.degraded());
 
   DetectorOptions Tiny = Pinned;
   Tiny.Hb.MemLimitBytes = 1; // nothing closure-shaped fits
   AnalysisResult Lim = analyzeTrace(T, Tiny);
-  EXPECT_EQ(Lim.Degradation.RequestedReach, ReachMode::Incremental);
+  EXPECT_EQ(Lim.Degradation.RequestedReach, ReachMode::Closure);
   EXPECT_EQ(Lim.Degradation.UsedReach, ReachMode::Bfs);
   EXPECT_TRUE(Lim.Degradation.DowngradedForMemory);
   EXPECT_FALSE(Lim.Degradation.DeadlineExceeded);
@@ -91,19 +92,22 @@ TEST(DegradationTest, MemoryCeilingUsesMiddleRungWhenItFits) {
   TaskIndex Index(T);
 
   // Learn the node count from an unconstrained build, then pick a limit
-  // that admits Closure but not Incremental (the incremental estimate is
-  // strictly larger by construction).
+  // one byte under what the closure's budgeted build counts (its rows
+  // and dirty flags, which the estimate matches exactly): the closure is
+  // probed, overruns, and the ladder stops on the chain rung.
   HbOptions Free;
-  Free.Reach = ReachMode::Incremental; // ladder assertions: pin the request
+  Free.Reach = ReachMode::Closure; // ladder assertions: pin the request
   HbIndex Unlimited(T, Index, Free);
   size_t N = Unlimited.graph().numNodes();
   ASSERT_GT(N, 0u);
 
   HbOptions Capped = Free;
-  Capped.MemLimitBytes = estimateReachabilityMemory(N, ReachMode::Closure);
+  Capped.MemLimitBytes =
+      estimateReachabilityMemory(N, ReachMode::Closure) - 1;
   HbIndex Limited(T, Index, Capped);
-  EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Closure);
+  EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain);
   EXPECT_TRUE(Limited.degradation().DowngradedForMemory);
+  EXPECT_EQ(Limited.degradation().ProbedRungs, 2u);
 
   // Same relation: spot-check every pair of the first records of a few
   // tasks through the public query interface.
@@ -118,7 +122,7 @@ TEST(DegradationTest, MemoryCeilingUsesMiddleRungWhenItFits) {
 TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   // A trace big enough that the chain oracle's measured footprint sits
   // well below the closure bitset: a budget between the two makes the
-  // ladder walk Incremental -> Closure -> Chain and stop there.
+  // ladder step Closure -> Chain and stop there.
   apps::AppBuilder App("degrade-chain");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
@@ -139,7 +143,7 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   ASSERT_LT(ChainBytes, CloBytes); // the rung is meaningful at this size
 
   HbOptions Capped;
-  Capped.Reach = ReachMode::Incremental;
+  Capped.Reach = ReachMode::Closure;
   Capped.MemLimitBytes = ChainBytes + (CloBytes - ChainBytes) / 2;
   HbIndex Limited(T, Index, Capped);
   EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain);
@@ -155,18 +159,18 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
 }
 
 TEST(DegradationTest, ClosureRungsBelowTheRowFloorAreSkippedWithoutAProbe) {
-  // N rows of ceil(N/64) words is a strict lower bound on a closure
-  // rung's measured footprint.  One byte under it, both closure rungs
-  // are stepped past without a build and the first probe is Chain's;
-  // from the floor up the rungs are still probed.
+  // N rows of ceil(N/64) words is a strict lower bound on the closure
+  // rung's measured footprint.  One byte under it, the closure rung is
+  // stepped past without a build and the first probe is Chain's; from
+  // the floor up the rung is still probed.
   Trace T = buildAppTrace();
   TaskIndex Index(T);
   HbOptions Free;
-  Free.Reach = ReachMode::Incremental; // ladder assertions: pin the request
+  Free.Reach = ReachMode::Closure; // ladder assertions: pin the request
   HbIndex Unlimited(T, Index, Free);
   size_t N = Unlimited.graph().numNodes();
   size_t Floor = N * ((N + 63) / 64) * 8;
-  ASSERT_EQ(Floor, estimateReachabilityMemory(N, ReachMode::Closure));
+  ASSERT_EQ(Floor + N, estimateReachabilityMemory(N, ReachMode::Closure));
   EXPECT_EQ(Unlimited.degradation().ProbedRungs, 1u);
 
   HbOptions Under = Free;
@@ -176,20 +180,19 @@ TEST(DegradationTest, ClosureRungsBelowTheRowFloorAreSkippedWithoutAProbe) {
   EXPECT_TRUE(Skipped.degradation().DowngradedForMemory);
   EXPECT_EQ(Skipped.degradation().ProbedRungs, 1u);
 
-  // At the floor itself Incremental is probed and overruns on its
-  // delta-tracking extras; Closure is probed and fits exactly.
+  // At the floor itself the closure is probed and overruns on its
+  // dirty flags; Chain is probed next and fits.
   HbOptions AtFloor = Free;
   AtFloor.MemLimitBytes = Floor;
   HbIndex Probed(T, Index, AtFloor);
-  EXPECT_EQ(Probed.degradation().UsedReach, ReachMode::Closure);
+  EXPECT_EQ(Probed.degradation().UsedReach, ReachMode::Chain);
   EXPECT_EQ(Probed.degradation().ProbedRungs, 2u);
 
-  // Floor plus the extras admits the requested rung on its one probe.
-  HbOptions WithExtras = Free;
-  WithExtras.MemLimitBytes =
-      estimateReachabilityMemory(N, ReachMode::Incremental);
-  HbIndex Fits(T, Index, WithExtras);
-  EXPECT_EQ(Fits.degradation().UsedReach, ReachMode::Incremental);
+  // Floor plus the flags admits the requested rung on its one probe.
+  HbOptions WithFlags = Free;
+  WithFlags.MemLimitBytes = Floor + N;
+  HbIndex Fits(T, Index, WithFlags);
+  EXPECT_EQ(Fits.degradation().UsedReach, ReachMode::Closure);
   EXPECT_FALSE(Fits.degradation().DowngradedForMemory);
   EXPECT_EQ(Fits.degradation().ProbedRungs, 1u);
 
@@ -386,21 +389,23 @@ TEST(DegradationTest, ReachModeResolvesRequestOverEnvOverDefault) {
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Chain);
   // An explicit request always wins over the environment.
   EXPECT_EQ(resolveReachMode(ReachMode::Bfs), ReachMode::Bfs);
-  EXPECT_EQ(resolveReachMode(ReachMode::Incremental),
-            ReachMode::Incremental);
+  // The reserved incremental mode resolves to the closure that replaced
+  // it, request or not.
+  EXPECT_EQ(resolveReachMode(ReachMode::Incremental), ReachMode::Closure);
 
   setenv("CAFA_REACH", "closure", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
   setenv("CAFA_REACH", "bfs", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Bfs);
-  setenv("CAFA_REACH", "incremental", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
 
-  // Unknown values and an unset variable both fall back to the default.
+  // Unknown values (the retired "incremental" among them) and an unset
+  // variable all fall back to the default.
+  setenv("CAFA_REACH", "incremental", 1);
+  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
   setenv("CAFA_REACH", "nonsense", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
+  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
   unsetenv("CAFA_REACH");
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
+  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
 
   if (Had)
     setenv("CAFA_REACH", Saved.c_str(), 1);

@@ -234,15 +234,16 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
 TEST_F(ExitCodesTest, StatsLinesCarryPerRoundHbTimings) {
   // Both stats renderings break the happens-before build down: the
   // oracle's initial build, then one entry per fixpoint round with its
-  // dispatch, atomicity scan, queue-rule scan and update times.
+  // atomicity scan, queue-rule scan and update times.
   std::vector<std::string> Args = {"analyze", RacyTrace};
   ExitRun Text = runAnalyzer(Args, Scratch);
   ASSERT_EQ(Text.ExitCode, 1) << Text.Err;
   EXPECT_NE(Text.Err.find("happens-before rounds: oracle init "),
             std::string::npos)
       << Text.Err;
-  EXPECT_NE(Text.Err.find("; round 1 dispatch "), std::string::npos)
+  EXPECT_NE(Text.Err.find("; round 1 atomicity "), std::string::npos)
       << Text.Err;
+  EXPECT_EQ(Text.Err.find("dispatch"), std::string::npos) << Text.Err;
 
   Args.push_back("--json");
   ExitRun Json = runAnalyzer(Args, Scratch);
@@ -253,18 +254,18 @@ TEST_F(ExitCodesTest, StatsLinesCarryPerRoundHbTimings) {
   ASSERT_NE(Rounds, std::string::npos) << Json.Err;
   long NumRounds = std::atol(Json.Err.c_str() + Rounds + 9);
   EXPECT_GT(NumRounds, 0) << Json.Err;
-  // One timing object per round, each with all four phases.
-  for (const char *Key : {"\"dispatch\":", "\"atomicity\":", "\"queue\":",
-                          "\"update\":"}) {
+  // One timing object per round, each with all three phases.
+  for (const char *Key : {"\"atomicity\":", "\"queue\":", "\"update\":"}) {
     long Count = 0;
     for (size_t At = Json.Err.find(Key); At != std::string::npos;
          At = Json.Err.find(Key, At + 1))
       ++Count;
     EXPECT_EQ(Count, NumRounds) << Key << Json.Err;
   }
-  EXPECT_NE(Json.Err.find("\"hb_round_ms\":[{\"dispatch\":"),
+  EXPECT_NE(Json.Err.find("\"hb_round_ms\":[{\"atomicity\":"),
             std::string::npos)
       << Json.Err;
+  EXPECT_EQ(Json.Err.find("\"dispatch\""), std::string::npos) << Json.Err;
 }
 
 TEST_F(ExitCodesTest, ServerUsageAndSetupErrorsExitTwo) {

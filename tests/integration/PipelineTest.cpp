@@ -145,11 +145,11 @@ TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
   HbIndex HbBfs(T, Index, Bfs.Hb);
   RaceReport B = detectUseFreeRaces(T, Index, Db, HbBfs, Bfs);
 
-  DetectorOptions Inc;
-  Inc.Classify = false;
-  Inc.Hb.Reach = ReachMode::Incremental;
-  HbIndex HbInc(T, Index, Inc.Hb);
-  RaceReport C = detectUseFreeRaces(T, Index, Db, HbInc, Inc);
+  DetectorOptions Chain;
+  Chain.Classify = false;
+  Chain.Hb.Reach = ReachMode::Chain;
+  HbIndex HbChain(T, Index, Chain.Hb);
+  RaceReport C = detectUseFreeRaces(T, Index, Db, HbChain, Chain);
 
   ASSERT_EQ(A.Races.size(), B.Races.size());
   ASSERT_EQ(A.Races.size(), C.Races.size());

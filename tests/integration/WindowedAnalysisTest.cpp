@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Pipeline-level contract of the windowed streaming analysis
-// (docs/windowed-analysis.md): at every window size and thread count
-// the analyzer renders byte-identical reports, the memory-pressure
+// (docs/windowed-analysis.md): at every window size the analyzer
+// renders byte-identical reports, the memory-pressure
 // ladder sheds to the window without changing a byte, a run cut in
 // either detect mode resumes in the other (the snapshot's happens-
 // before frontier is mode-agnostic and WindowEvents is excluded from
@@ -70,13 +70,11 @@ std::vector<std::string> fixtureFiles() {
   return Files;
 }
 
-/// Both renderings of an analysis at \p Window / \p Threads.
+/// Both renderings of an analysis at \p Window.
 std::pair<std::string, std::string> renderWith(const Trace &T,
-                                               uint64_t Window,
-                                               unsigned Threads) {
+                                               uint64_t Window) {
   DetectorOptions Opt;
   Opt.WindowEvents = Window;
-  Opt.Hb.Threads = Threads;
   AnalysisResult R = analyzeTrace(T, Opt);
   if (Window != DetectorOptions::WindowOff) {
     EXPECT_EQ(R.WindowEventsUsed, Window);
@@ -97,22 +95,18 @@ TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
     Status S = ingestTrace(readFile(Path), T, Ingest);
     if (!S.ok())
       continue; // rejected fixtures are ingest-layer tests, not ours
-    auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff, 1);
-    for (uint64_t Window : {uint64_t(64), uint64_t(4096)})
-      for (unsigned Threads : {1u, 4u}) {
-        auto [Text, Json] = renderWith(T, Window, Threads);
-        EXPECT_EQ(Text, RefText)
-            << "window " << Window << ", " << Threads << " threads";
-        EXPECT_EQ(Json, RefJson)
-            << "window " << Window << ", " << Threads << " threads";
-      }
+    auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff);
+    for (uint64_t Window : {uint64_t(64), uint64_t(4096)}) {
+      auto [Text, Json] = renderWith(T, Window);
+      EXPECT_EQ(Text, RefText) << "window " << Window;
+      EXPECT_EQ(Json, RefJson) << "window " << Window;
+    }
   }
 }
 
 /// Random structurally valid trace with enough queue traffic to exercise
 /// the rule-engine scans and enough pointer traffic to give the detector
-/// real pairs (the generator AnalysisThreadsTest pins thread parity
-/// with; duplicated by project convention).
+/// real pairs.
 Trace randomPtrTrace(uint64_t Seed, size_t Steps) {
   Rng R(Seed);
   TraceBuilder TB;
@@ -204,17 +198,16 @@ class RandomWindowParityTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(RandomWindowParityTest, ReportsByteIdenticalAcrossWindowSizes) {
   Trace T = randomPtrTrace(GetParam() * 0x9E3779B97F4A7C15ull + 3, 250);
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
-  auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff, 1);
+  auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff);
   // Window 64 is deliberately pathological: most traces span a few
   // thousand records, so the scan sweeps dozens of times per run.
-  for (uint64_t Window : {uint64_t(64), uint64_t(1024)})
-    for (unsigned Threads : {1u, 4u}) {
-      auto [Text, Json] = renderWith(T, Window, Threads);
-      ASSERT_EQ(Text, RefText) << "seed " << GetParam() << " window "
-                               << Window << " at " << Threads << " threads";
-      ASSERT_EQ(Json, RefJson) << "seed " << GetParam() << " window "
-                               << Window << " at " << Threads << " threads";
-    }
+  for (uint64_t Window : {uint64_t(64), uint64_t(1024)}) {
+    auto [Text, Json] = renderWith(T, Window);
+    ASSERT_EQ(Text, RefText)
+        << "seed " << GetParam() << " window " << Window;
+    ASSERT_EQ(Json, RefJson)
+        << "seed " << GetParam() << " window " << Window;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds100, RandomWindowParityTest,

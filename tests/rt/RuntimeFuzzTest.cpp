@@ -218,9 +218,9 @@ TEST_P(RuntimeFuzzTest, OraclesAgreeOnRandomPrograms) {
   HbOptions BfsOpt;
   BfsOpt.Reach = ReachMode::Bfs;
   HbIndex HbBfs(T, Index, BfsOpt);
-  HbOptions IncOpt;
-  IncOpt.Reach = ReachMode::Incremental;
-  HbIndex HbInc(T, Index, IncOpt);
+  HbOptions ChainOpt;
+  ChainOpt.Reach = ReachMode::Chain;
+  HbIndex HbChain(T, Index, ChainOpt);
 
   Rng R(GetParam());
   uint32_t N = static_cast<uint32_t>(T.numRecords());
@@ -231,7 +231,7 @@ TEST_P(RuntimeFuzzTest, OraclesAgreeOnRandomPrograms) {
     bool Expected = HbClosure.happensBefore(A, B);
     ASSERT_EQ(Expected, HbBfs.happensBefore(A, B))
         << "seed " << GetParam() << " records " << A << "->" << B;
-    ASSERT_EQ(Expected, HbInc.happensBefore(A, B))
+    ASSERT_EQ(Expected, HbChain.happensBefore(A, B))
         << "seed " << GetParam() << " records " << A << "->" << B;
   }
 }
