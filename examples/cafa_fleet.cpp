@@ -72,8 +72,6 @@ static int usage(const char *Prog) {
       "  --backoff-max=<ms>       retry delay cap (default 30000)\n"
       "  --seed=<n>               backoff jitter seed (default 0x5EEDCAFA)\n"
       "  --ingest-threads=<n>     forwarded\n"
-      "  --window=<records>       forwarded: workers run the windowed\n"
-      "                           streaming scan (bounded overlay memory)\n"
       "  --strict                 forwarded (salvage incidents fail jobs)\n"
       "  --worker-arg=<arg>       extra analyzer argument, passed to every\n"
       "                           worker (repeatable)\n"
@@ -171,8 +169,6 @@ int main(int argc, char **argv) {
       Options.Backoff.Seed = N;
     else if (numArg(Arg, "--ingest-threads=", N) && N > 0)
       Options.IngestThreads = static_cast<unsigned>(N);
-    else if (numArg(Arg, "--window=", N) && N > 0)
-      Options.WindowEvents = N;
     else if (std::strncmp(Arg, "--worker-arg=", 13) == 0)
       WorkerArgs.push_back(Arg + 13);
     else if (std::strncmp(Arg, "--output=", 9) == 0)

@@ -20,14 +20,16 @@
 // chain / bfs; see the mode decision table in
 // docs/hb-reachability.md for when to pick which).  Unset, the choice
 // also honors the CAFA_REACH environment variable.
-// --window=<records> runs the windowed streaming detector scan
-// (docs/windowed-analysis.md): bounded resident overlay, byte-identical
-// report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
-// even under memory pressure.  The stats block (stderr; one JSON line
-// under --json, same fields) reports phase timings -- the
+// The detector is one streaming scan (docs/windowed-analysis.md) that
+// retires accesses behind a sweep every --window=<records> records
+// (default 65536; CAFA_WINDOW when unset; --window=off sweeps once, at
+// the end of the trace).  The cadence only trades resident overlay
+// memory for sweep work: every value renders the same report.  The
+// stats block (stderr; one JSON line under --json, same fields) reports
+// phase timings -- the scan's counting pre-pass as "extract", the
 // happens-before build down to its oracle build and each fixpoint
 // round's scans and update -- checkpoint saves, the process peak RSS
-// and the window overlay's high-water mark.
+// and the scan overlay's high-water mark.
 // Damaged dumps are salvaged by default (--strict insists on a pristine
 // file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
 // degradation ladder (docs/robustness.md).
@@ -123,7 +125,8 @@ static int usage(const char *Prog) {
                "  %s analyze <trace-file> [--json] [--strict|--salvage]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
                "     [--reach=closure|chain|bfs]\n"
-               "     [--window=<records>|--window=off]\n"
+               "     [--window=<records>|--window=off]  detector sweep\n"
+               "                                         cadence (65536)\n"
                "     [--mem-limit=<bytes>] [--deadline=<ms>]\n"
                "     [--checkpoint-dir=<dir>] [--checkpoint-every=<ms>]\n"
                "     [--resume]                     analyze\n"
@@ -268,10 +271,11 @@ int main(int argc, char **argv) {
     Ingest.CheckpointDirectory = Ckpt.Directory;
     Ingest.Resume = Ckpt.Resume;
 
-    // A non-windowed run slurps the whole input; pre-check its size
-    // against --mem-limit so an oversized dump fails with a usage error
-    // up front instead of OOMing mid-ingest.  A windowed run streams
-    // from the mapping, so the budget applies to the overlay instead.
+    // Pre-check the input size against --mem-limit so an oversized dump
+    // fails with a usage error up front instead of OOMing mid-ingest --
+    // unless a cadence was requested explicitly (--window=<n> or
+    // CAFA_WINDOW), which declares a streamed run whose budget applies
+    // to the scan overlay instead.
     if (Options.Hb.MemLimitBytes > 0 &&
         resolveWindowEvents(Options.WindowEvents) ==
             DetectorOptions::WindowOff)
@@ -389,17 +393,11 @@ int main(int argc, char **argv) {
                    "--mem-limit (results unaffected)\n",
                    reachModeName(R.Degradation.RequestedReach),
                    reachModeName(R.Degradation.UsedReach));
-    if (R.WindowEventsUsed)
-      std::fprintf(stderr,
-                   "note: windowed scan (window %llu records%s; results "
-                   "unaffected)\n",
-                   static_cast<unsigned long long>(R.WindowEventsUsed),
-                   R.WindowShedByMemory ? ", engaged by --mem-limit" : "");
     if (R.Report.Partial)
       std::fprintf(stderr, "warning: partial analysis (%s)\n",
                    R.Report.PartialCause.c_str());
     // Peak RSS covers the whole process (trace included); the overlay
-    // high-water is the windowed scan's own resident analysis state.
+    // high-water is the detector scan's own resident analysis state.
     struct rusage Usage;
     ::getrusage(RUSAGE_SELF, &Usage);
     unsigned long long PeakRssBytes =
@@ -421,22 +419,26 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "memory: peak rss %llu bytes, happens-before %zu bytes",
                    PeakRssBytes, R.HbMemoryBytes);
-      if (R.WindowEventsUsed)
-        std::fprintf(stderr,
-                     ", window overlay high-water %zu bytes (%zu "
-                     "reachability rows x %u chains, retained %zu bytes)",
-                     R.WindowedDetect.OverlayHighWaterBytes,
-                     R.WindowedDetect.ReachHighWaterRows,
-                     R.WindowedDetect.Chains,
-                     R.WindowedDetect.RetainedHighWaterBytes);
-      std::fprintf(stderr, "\n\n");
+      std::fprintf(stderr,
+                   ", window overlay high-water %zu bytes (%zu "
+                   "reachability rows x %u chains, retained %zu bytes)\n\n",
+                   R.WindowedDetect.OverlayHighWaterBytes,
+                   R.WindowedDetect.ReachHighWaterRows,
+                   R.WindowedDetect.Chains,
+                   R.WindowedDetect.RetainedHighWaterBytes);
     } else {
       // One machine-readable stats line on stderr; stdout stays the
       // report alone so byte-compare harnesses are unaffected.  Same
-      // fields as the text block.  "chains" is the windowed frontier's
-      // width when the window ran, else the chain oracle's.
-      size_t Chains = R.WindowEventsUsed ? R.WindowedDetect.Chains
-                                         : R.Degradation.ChainCount;
+      // fields as the text block.  "chains" is the chain oracle's width
+      // when the ladder picked it, else the scan frontier's;
+      // "window_events" is 0 for --window=off.
+      size_t Chains = R.Degradation.UsedReach == ReachMode::Chain
+                          ? R.Degradation.ChainCount
+                          : R.WindowedDetect.Chains;
+      uint64_t WindowEvents =
+          R.WindowEventsUsed == DetectorOptions::WindowOff
+              ? 0
+              : R.WindowEventsUsed;
       std::fprintf(stderr,
                    "{\"stats\":{\"extract_ms\":%.1f,\"hb_ms\":%.1f,"
                    "\"detect_ms\":%.1f,\"rounds\":%u,%s,"
@@ -452,7 +454,7 @@ int main(int argc, char **argv) {
                    R.CheckpointSaves,
                    static_cast<unsigned long long>(R.CheckpointBytes),
                    R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,
-                   static_cast<unsigned long long>(R.WindowEventsUsed),
+                   static_cast<unsigned long long>(WindowEvents),
                    R.WindowedDetect.OverlayHighWaterBytes,
                    R.WindowedDetect.ReachHighWaterRows, Chains,
                    R.WindowedDetect.RetainedHighWaterBytes);

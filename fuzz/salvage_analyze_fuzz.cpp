@@ -78,8 +78,8 @@ bool pipelineOnce(const std::string &Text) {
   AnalysisResult R = analyzeTrace(T, Opt);
   (void)R;
 
-  // Same trace through the windowed streaming scan at a deliberately
-  // tiny sweep cadence: salvaged traces are exactly the hostile shapes
+  // Same trace at a deliberately tiny sweep cadence of the streaming
+  // scan: salvaged traces are exactly the hostile shapes
   // (quiet tasks, dangling events, mid-record damage) where the
   // per-task retirement horizons and push pruning earn their keep.
   Opt.WindowEvents = 16;

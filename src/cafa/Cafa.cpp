@@ -11,21 +11,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <tuple>
 
 using namespace cafa;
-
-namespace {
-
-/// Retirement cadence the memory-pressure ladder uses when it engages
-/// the windowed scan on its own (no explicit --window / CAFA_WINDOW):
-/// large enough that the sweep cost is noise, small enough that retained
-/// accesses turn over well before the batch tables' footprint.
-constexpr uint64_t DefaultPressureWindow = 65536;
-
-} // namespace
 
 AnalysisResult cafa::analyzeTrace(const Trace &T,
                                   const AnalysisOptions &Analysis) {
@@ -45,19 +34,6 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     return std::max(Options.DeadlineMillis - Total.elapsedWallMillis(),
                     0.001);
   };
-
-  // Windowed streaming detection (docs/windowed-analysis.md): resolved
-  // up front so the primary fixpoint can pick a frontier-friendly
-  // oracle; the memory-pressure ladder may still engage it after the
-  // build (below).  A windowed run changes the reach *default* from
-  // Closure to Chain -- the windowed scan sheds the oracle right
-  // after the fixpoint, so the low-memory rung is the right pick -- but
-  // an explicit request or CAFA_REACH keeps full precedence.
-  uint64_t Window = resolveWindowEvents(Options.WindowEvents);
-  bool Windowed = Window != DetectorOptions::WindowOff;
-  if (Windowed && Opt.Hb.Reach == ReachMode::Auto &&
-      !std::getenv("CAFA_REACH"))
-    Opt.Hb.Reach = ReachMode::Chain;
 
   // Checkpoint identity: every snapshot carries the trace fingerprint
   // and the semantic-options digest, and resume refuses anything that
@@ -146,96 +122,51 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   Result.HbMemoryBytes = Hb.memoryBytes();
   Result.Degradation = Hb.degradation();
 
-  // Memory-pressure rung of the degradation ladder: when the oracle had
-  // to be downgraded to fit Hb.MemLimitBytes and the caller left the
-  // window on auto, shed to the windowed scan before the batch detector
-  // materializes its access tables -- strictly less resident memory,
-  // byte-identical report.  An explicit WindowOff pins the batch scan.
-  if (!Windowed && Options.WindowEvents == 0 &&
-      Hb.degradation().DowngradedForMemory) {
-    Window = DefaultPressureWindow;
-    Windowed = true;
-    Result.WindowShedByMemory = true;
-  }
-
-  // The batch detector scans a fully materialized AccessDb; the
-  // windowed scan streams its own extraction passes (ExtractMillis
-  // stays 0 and the tallies land in Result.WindowedDetect).
-  AccessDb Db;
-  if (!Windowed) {
-    Phase.restart();
-    Db = extractAccesses(T, Index, Resolver);
-    Result.ExtractMillis = Phase.elapsedWallMillis();
-  }
-
   // Detector-phase checkpointing only makes sense over a saturated
   // relation: a frontier scanned against a cut relation would bake its
   // too-weak "unordered" verdicts into the resumed report, so such
-  // state is never saved and never reused.  Each scan mode has its own
-  // frontier shape; a snapshot cut in the other mode contributes its Hb
-  // frontier (adopted above) and detection restarts from scratch --
-  // recompute, never reject.
+  // state is never saved and never reused.
   bool DetectCkptOn = CkptOn && !Hb.degradation().DeadlineExceeded;
-  DetectCheckpointing DetCk;
-  WindowedDetectCheckpointing WDetCk;
-  DetectFrontier LastDetect;
-  WindowedDetectFrontier LastWDetect;
-  bool HaveLastDetect = false, HaveLastWDetect = false;
+  ScanCheckpointing ScanCk;
+  ScanFrontier LastScan;
+  bool HaveLastScan = false;
   HbFrontier HbFinal;
+  auto ScanSnapshot = [&](const ScanFrontier &F) {
+    AnalysisSnapshot Out;
+    StampIdentity(Out);
+    Out.Phase = SnapshotPhase::Detect;
+    Out.Hb = HbFinal;
+    Out.HasScan = true;
+    Out.Scan = F;
+    return Out;
+  };
   if (DetectCkptOn) {
     HbFinal = Hb.exportFrontier();
-    if (Windowed) {
-      WDetCk.EveryMillis = CkptOpt.EveryMillis;
-      WDetCk.Save = [&](const WindowedDetectFrontier &F) {
-        LastWDetect = F;
-        HaveLastWDetect = true;
-        AnalysisSnapshot Out;
-        StampIdentity(Out);
-        Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = HbFinal;
-        Out.HasWindowedDetect = true;
-        Out.WindowedDetect = F;
-        Save(Out);
-      };
-      if (HaveSnap && Snap.Phase == SnapshotPhase::Detect &&
-          Snap.HasWindowedDetect && Snap.Hb.Saturated)
-        WDetCk.Resume = &Snap.WindowedDetect;
-    } else {
-      DetCk.EveryMillis = CkptOpt.EveryMillis;
-      DetCk.Save = [&](const DetectFrontier &F) {
-        LastDetect = F;
-        HaveLastDetect = true;
-        AnalysisSnapshot Out;
-        StampIdentity(Out);
-        Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = HbFinal;
-        Out.HasDetect = true;
-        Out.Detect = F;
-        Save(Out);
-      };
-      if (HaveSnap && Snap.Phase == SnapshotPhase::Detect && Snap.HasDetect &&
-          Snap.Hb.Saturated)
-        DetCk.Resume = &Snap.Detect;
-    }
+    ScanCk.EveryMillis = CkptOpt.EveryMillis;
+    ScanCk.Save = [&](const ScanFrontier &F) {
+      LastScan = F;
+      HaveLastScan = true;
+      Save(ScanSnapshot(F));
+    };
+    if (HaveSnap && Snap.Phase == SnapshotPhase::Detect && Snap.HasScan &&
+        Snap.Hb.Saturated)
+      ScanCk.Resume = &Snap.Scan;
   }
 
+  // The streaming scan (docs/windowed-analysis.md) orders pairs from its
+  // own frontier rows; the primary oracle is dead weight from here on
+  // (the frontier blob, when wanted, was exported above).  Its counting
+  // pre-pass is the extraction phase.
+  Hb.shedOracle();
   if (Opt.DeadlineMillis > 0)
     Opt.DeadlineMillis = Remaining();
+  Result.WindowEventsUsed = scanWindowEvents(Options.WindowEvents);
   Phase.restart();
-  if (Windowed) {
-    // The windowed scan orders pairs from its own frontier rows; the
-    // primary oracle is dead weight from here on (the frontier blob,
-    // when wanted, was exported above).
-    Hb.shedOracle();
-    Result.WindowEventsUsed = Window;
-    Result.Report = detectUseFreeRacesWindowed(
-        T, Index, Hb, Opt, Window, Resolver, &Result.WindowedDetect,
-        DetectCkptOn ? &WDetCk : nullptr);
-  } else {
-    Result.Report = detectUseFreeRaces(T, Index, Db, Hb, Opt,
-                                       DetectCkptOn ? &DetCk : nullptr);
-  }
-  Result.DetectMillis = Phase.elapsedWallMillis();
+  Result.Report = detectUseFreeRacesWindowed(
+      T, Index, Hb, Opt, Result.WindowEventsUsed, Resolver,
+      &Result.WindowedDetect, DetectCkptOn ? &ScanCk : nullptr);
+  Result.ExtractMillis = Result.WindowedDetect.PrePassMillis;
+  Result.DetectMillis = Phase.elapsedWallMillis() - Result.ExtractMillis;
 
   if (!CkptOn)
     return Result;
@@ -249,18 +180,10 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     // partial report's races, so the run that finishes the job can diff
     // its complete report against this provisional one.
     AnalysisSnapshot Out;
-    StampIdentity(Out);
-    if (DetectCkptOn && HaveLastWDetect) {
-      Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = HbFinal;
-      Out.HasWindowedDetect = true;
-      Out.WindowedDetect = LastWDetect;
-    } else if (DetectCkptOn && HaveLastDetect) {
-      Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = HbFinal;
-      Out.HasDetect = true;
-      Out.Detect = LastDetect;
+    if (HaveLastScan) {
+      Out = ScanSnapshot(LastScan);
     } else {
+      StampIdentity(Out);
       Out.Phase = SnapshotPhase::HbFixpoint;
       Out.Hb = Hb.exportFrontier();
     }

@@ -38,7 +38,8 @@ struct AnalysisResult {
   RaceReport Report;
   HbRuleStats HbStats;
   TraceStats TraceStatistics;
-  /// Phase wall times in milliseconds.
+  /// Phase wall times in milliseconds.  ExtractMillis is the detector
+  /// scan's counting pre-pass; DetectMillis the rest of the scan.
   double ExtractMillis = 0;
   double HbBuildMillis = 0;
   double DetectMillis = 0;
@@ -61,17 +62,10 @@ struct AnalysisResult {
   /// Provenance only -- never feeds back into Report, so resumed runs
   /// stay bit-identical to uninterrupted ones.
   ResumeOutcome Resume;
-  /// Retirement cadence of the windowed streaming scan, or 0 when the
-  /// batch detector ran.  ExtractMillis is 0 on the windowed path --
-  /// its extraction passes stream inside DetectMillis and never
-  /// materialize an AccessDb.
+  /// Retirement cadence the detector scan ran at (WindowOff: one sweep
+  /// at the end of the trace).
   uint64_t WindowEventsUsed = 0;
-  /// The window was engaged by the memory-pressure ladder (the primary
-  /// oracle had to be downgraded to fit Hb.MemLimitBytes) rather than
-  /// by an explicit request or CAFA_WINDOW.
-  bool WindowShedByMemory = false;
-  /// Observability counters of the windowed scan (zeroed on the batch
-  /// path).
+  /// Observability counters of the detector scan.
   WindowedDetectStats WindowedDetect;
 };
 
@@ -105,7 +99,7 @@ struct AnalysisOptions {
 /// Checkpointing: with Options.Checkpoint enabled, analysis progress is
 /// snapshotted into Checkpoint.Directory at the configured cadence and
 /// always when a deadline cuts a phase; with Checkpoint.Resume, a
-/// validated snapshot restores the interrupted fixpoint or pair scan
+/// validated snapshot restores the interrupted fixpoint or detector scan
 /// mid-flight and the run continues to a report bit-identical to an
 /// uninterrupted one.  A corrupt or mismatched snapshot degrades to a
 /// clean restart (Result.Resume says why) -- never a wrong answer.  The

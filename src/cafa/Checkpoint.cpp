@@ -19,7 +19,9 @@ namespace {
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
 // v5: the HB frontier carries edges and cursors only, no oracle state.
-constexpr uint32_t SnapshotVersion = 5;
+// v6: one detector, so one scan frontier; the batch pair-scan payload
+// is gone.
+constexpr uint32_t SnapshotVersion = 6;
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
@@ -126,27 +128,7 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
   return true;
 }
 
-void putDetectFrontier(SnapshotWriter &W, const DetectFrontier &F) {
-  W.u32(F.UseIdx);
-  W.u32(F.FreePos);
-  W.u8(F.FiltersShed ? 1 : 0);
-  W.u64(F.Filters.OrderedByHb);
-  W.u64(F.Filters.SameTask);
-  W.u64(F.Filters.LocksetProtected);
-  W.u64(F.Filters.IfGuardFiltered);
-  W.u64(F.Filters.IntraEventAlloc);
-  W.u64(F.Filters.CandidatePairs);
-  W.u64(F.Races.size());
-  for (const DetectFrontier::RaceEntry &E : F.Races) {
-    W.u32(E.UseRecord);
-    W.u32(E.FreeRecord);
-    W.u8(E.Category);
-    W.u32(E.DynamicCount);
-  }
-}
-
-void putWindowedDetectFrontier(SnapshotWriter &W,
-                               const WindowedDetectFrontier &F) {
+void putScanFrontier(SnapshotWriter &W, const ScanFrontier &F) {
   W.u32(F.CursorRecord);
   W.u64(F.PairsDoneAtCursor);
   W.u8(F.FiltersShed ? 1 : 0);
@@ -157,7 +139,7 @@ void putWindowedDetectFrontier(SnapshotWriter &W,
   W.u64(F.Filters.IntraEventAlloc);
   W.u64(F.Filters.CandidatePairs);
   W.u64(F.Survivors.size());
-  for (const WindowedDetectFrontier::SurvivorEntry &S : F.Survivors) {
+  for (const ScanFrontier::SurvivorEntry &S : F.Survivors) {
     W.u32(S.UseOrd);
     W.u32(S.FreeOrd);
     W.u32(S.UseRecord);
@@ -170,8 +152,7 @@ void putWindowedDetectFrontier(SnapshotWriter &W,
   }
 }
 
-bool getWindowedDetectFrontier(SnapshotReader &R,
-                               WindowedDetectFrontier &F) {
+bool getScanFrontier(SnapshotReader &R, ScanFrontier &F) {
   uint8_t Shed;
   if (!R.u32(F.CursorRecord) || !R.u64(F.PairsDoneAtCursor) ||
       !R.u8(Shed) || Shed > 1)
@@ -187,33 +168,11 @@ bool getWindowedDetectFrontier(SnapshotReader &R,
   if (!R.u64(N) || N > MaxSurvivors)
     return false;
   F.Survivors.resize(N);
-  for (WindowedDetectFrontier::SurvivorEntry &S : F.Survivors)
+  for (ScanFrontier::SurvivorEntry &S : F.Survivors)
     if (!R.u32(S.UseOrd) || !R.u32(S.FreeOrd) || !R.u32(S.UseRecord) ||
         !R.u32(S.FreeRecord) || !R.u32(S.UseMethod) || !R.u32(S.UsePc) ||
         !R.u32(S.FreeMethod) || !R.u32(S.FreePc) || !R.u8(S.SameLooper) ||
         S.SameLooper > 1)
-      return false;
-  return true;
-}
-
-bool getDetectFrontier(SnapshotReader &R, DetectFrontier &F) {
-  uint8_t Shed;
-  if (!R.u32(F.UseIdx) || !R.u32(F.FreePos) || !R.u8(Shed) || Shed > 1)
-    return false;
-  F.FiltersShed = Shed != 0;
-  if (!R.u64(F.Filters.OrderedByHb) || !R.u64(F.Filters.SameTask) ||
-      !R.u64(F.Filters.LocksetProtected) ||
-      !R.u64(F.Filters.IfGuardFiltered) ||
-      !R.u64(F.Filters.IntraEventAlloc) ||
-      !R.u64(F.Filters.CandidatePairs))
-    return false;
-  uint64_t N;
-  if (!R.u64(N) || N > MaxRaces)
-    return false;
-  F.Races.resize(N);
-  for (DetectFrontier::RaceEntry &E : F.Races)
-    if (!R.u32(E.UseRecord) || !R.u32(E.FreeRecord) || !R.u8(E.Category) ||
-        !R.u32(E.DynamicCount))
       return false;
   return true;
 }
@@ -272,12 +231,9 @@ Status cafa::saveAnalysisSnapshot(const AnalysisSnapshot &Snap,
   W.u64(Snap.OptionsDigest);
   W.u8(static_cast<uint8_t>(Snap.Phase));
   putHbFrontier(W, Snap.Hb);
-  W.u8(Snap.HasDetect ? 1 : 0);
-  if (Snap.HasDetect)
-    putDetectFrontier(W, Snap.Detect);
-  W.u8(Snap.HasWindowedDetect ? 1 : 0);
-  if (Snap.HasWindowedDetect)
-    putWindowedDetectFrontier(W, Snap.WindowedDetect);
+  W.u8(Snap.HasScan ? 1 : 0);
+  if (Snap.HasScan)
+    putScanFrontier(W, Snap.Scan);
   W.u8(Snap.HasPartialRaces ? 1 : 0);
   if (Snap.HasPartialRaces) {
     W.u32(static_cast<uint32_t>(Snap.PartialRaces.size()));
@@ -301,7 +257,7 @@ Status cafa::loadAnalysisSnapshot(AnalysisSnapshot &Snap,
   auto Malformed = [] {
     return Status::error("snapshot payload malformed");
   };
-  uint8_t Phase, HasDetect, HasWindowed, HasPartial;
+  uint8_t Phase, HasScan, HasPartial;
   if (!R.u64(Snap.TraceFingerprint) || !R.u64(Snap.NumRecords) ||
       !R.u64(Snap.OptionsDigest) || !R.u8(Phase) ||
       Phase > static_cast<uint8_t>(SnapshotPhase::Detect))
@@ -309,16 +265,10 @@ Status cafa::loadAnalysisSnapshot(AnalysisSnapshot &Snap,
   Snap.Phase = static_cast<SnapshotPhase>(Phase);
   if (!getHbFrontier(R, Snap.Hb))
     return Malformed();
-  if (!R.u8(HasDetect) || HasDetect > 1)
+  if (!R.u8(HasScan) || HasScan > 1)
     return Malformed();
-  Snap.HasDetect = HasDetect != 0;
-  if (Snap.HasDetect && !getDetectFrontier(R, Snap.Detect))
-    return Malformed();
-  if (!R.u8(HasWindowed) || HasWindowed > 1)
-    return Malformed();
-  Snap.HasWindowedDetect = HasWindowed != 0;
-  if (Snap.HasWindowedDetect &&
-      !getWindowedDetectFrontier(R, Snap.WindowedDetect))
+  Snap.HasScan = HasScan != 0;
+  if (Snap.HasScan && !getScanFrontier(R, Snap.Scan))
     return Malformed();
   if (!R.u8(HasPartial) || HasPartial > 1)
     return Malformed();

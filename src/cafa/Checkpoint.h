@@ -9,7 +9,7 @@
 /// Crash-safe checkpoint/resume for the offline analysis pipeline.
 ///
 /// A snapshot freezes analysis progress at a consistent boundary -- a
-/// happens-before fixpoint round or a detector pair-scan position --
+/// happens-before fixpoint round or a detector scan position --
 /// into one versioned, checksummed file written atomically (temp file +
 /// rename; see support/Snapshot.h).  analyzeTrace() takes snapshots at a
 /// configurable cadence and always when a deadline cuts a phase, so an
@@ -87,15 +87,10 @@ struct AnalysisSnapshot {
   uint64_t OptionsDigest = 0;
   SnapshotPhase Phase = SnapshotPhase::HbFixpoint;
   HbFrontier Hb;
-  bool HasDetect = false;
-  DetectFrontier Detect;
-  /// The detect phase was the windowed streaming scan; the snapshot
-  /// carries its frontier instead of (never alongside) the batch one.
-  /// Cross-mode resume recomputes rather than rejects: a batch run
-  /// finding a windowed frontier (or vice versa) adopts the Hb frontier
-  /// and redoes detection from scratch in its own mode.
-  bool HasWindowedDetect = false;
-  WindowedDetectFrontier WindowedDetect;
+  /// The detector scan's frontier (Phase == Detect).  It resumes under
+  /// any retirement cadence.
+  bool HasScan = false;
+  ScanFrontier Scan;
   /// Races of the partial report this snapshot accompanied, for the
   /// confirmed/retracted diff on resume.  Only final partial-result
   /// snapshots carry these.
@@ -144,7 +139,7 @@ uint64_t traceFingerprint(const Trace &T);
 /// model, rule toggles, round cap, filters, classification, and whether
 /// a deref resolver was attached.  Deliberately excludes pure
 /// time/memory knobs (Reach, MemLimitBytes, DeadlineMillis, and the
-/// windowed-scan cadence WindowEvents) -- those change how fast and in
+/// scan's retirement cadence WindowEvents) -- those change how fast and in
 /// how much memory the same answer arrives, and a snapshot taken under
 /// one budget must remain resumable under another.
 uint64_t detectorOptionsDigest(const DetectorOptions &Options,

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pure per-pair predicates shared by the batch pair scan
-/// (UseFreeDetector.cpp) and the windowed streaming scan
-/// (WindowedScan.cpp), and the conventional model both classify with.
+/// The pure per-pair predicates shared by the streaming scan
+/// (WindowedScan.cpp, the detector) and the batch reference scan
+/// (UseFreeDetector.cpp), and the conventional model both classify with.
 /// Both scans must apply byte-identical filter logic -- the
 /// differential suite pins their reports against each other -- so the
 /// predicates live here exactly once.
@@ -19,6 +19,7 @@
 #define CAFA_DETECT_DETECTSHARED_H
 
 #include "detect/Accesses.h"
+#include "detect/RaceReport.h"
 #include "hb/HbIndex.h"
 
 #include <memory>
@@ -80,6 +81,22 @@ inline bool branchGuardsUse(const Trace &T, const GuardBranch &Br,
   if (Br.Record >= Use.Record)
     return false;
   return pcInGuardRegion(T, Br, Use.Pc);
+}
+
+/// Flags \p Report partial when the happens-before fixpoint was cut
+/// short: the relation under-approximates, so extra candidates may
+/// survive the ordering filter.  Everything reported is still a genuine
+/// candidate.
+inline void flagHbDeadline(RaceReport &Report, const HbDegradation &D) {
+  if (!D.DeadlineExceeded)
+    return;
+  Report.Partial = true;
+  Report.PartialCause = "hb-deadline";
+  if (!D.UnsaturatedRules.empty()) {
+    Report.PartialDetail = "unsaturated rules:";
+    for (size_t I = 0; I != D.UnsaturatedRules.size(); ++I)
+      Report.PartialDetail += (I ? ", " : " ") + D.UnsaturatedRules[I];
+  }
 }
 
 /// Deduplication key: the static (use site, free site) pair.

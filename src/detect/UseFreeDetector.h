@@ -12,6 +12,9 @@
 /// Section 3.2 stand-in for the removed unlock->lock edges), and the
 /// if-guard and intra-event-allocation commutativity heuristics of
 /// Section 4.3 (both applicable only between events of one looper).
+/// The detector is one streaming scan (detectUseFreeRacesWindowed); the
+/// batch pair scan over a materialized AccessDb is kept as its test
+/// reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,85 +52,54 @@ struct DetectorOptions {
   /// sheddable filter is enabled), the scan stops where it stands and
   /// PartialCause becomes "detect-deadline".  analyzeTrace treats
   /// DeadlineMillis as the *whole-pipeline* budget and hands the
-  /// detector whatever the extract and happens-before phases left
-  /// over.  0 = off.
+  /// detector whatever the happens-before phase left over.  The batch
+  /// reference scan ignores it.  0 = off.
   double DeadlineMillis = 0;
-  /// Windowed streaming scan (docs/windowed-analysis.md).  0 = auto:
-  /// the CAFA_WINDOW environment variable decides; when it is unset
-  /// the batch scan runs, unless analyzeTrace sheds to the windowed
-  /// scan under memory pressure.  WindowOff pins the batch scan
-  /// regardless of the environment.  Any other value runs the
-  /// windowed scan with retirement sweeps every WindowEvents records.
-  /// The two scans emit byte-identical reports; the window trades
-  /// resident overlay memory for a second extraction pass.
+  /// Retirement sweep cadence of the streaming scan, in records
+  /// (docs/windowed-analysis.md).  0 = auto: the CAFA_WINDOW
+  /// environment variable decides, else DefaultWindowEvents.
+  /// WindowOff sweeps once, at the end of the trace, regardless of the
+  /// environment.  The cadence trades resident overlay memory for sweep
+  /// work; it never changes a report.
   uint64_t WindowEvents = 0;
-  /// Sentinel for WindowEvents: never use the windowed scan.
+  /// Sentinel for WindowEvents: no retirement sweep before the end of
+  /// the trace.
   static constexpr uint64_t WindowOff = ~0ull;
+  /// The cadence an auto WindowEvents runs at: large enough that the
+  /// sweep cost is noise, small enough that retained accesses turn
+  /// over well before a full access table's footprint.
+  static constexpr uint64_t DefaultWindowEvents = 65536;
 };
 
-/// Resolves DetectorOptions::WindowEvents with request > environment
-/// (CAFA_WINDOW, a positive record count) > default (WindowOff)
-/// precedence.
+/// Resolves an explicitly requested cadence with request > environment
+/// (CAFA_WINDOW, a positive record count) precedence; WindowOff when
+/// neither names one (including an explicit WindowOff request).
 uint64_t resolveWindowEvents(uint64_t Requested);
 
-/// Everything needed to freeze the candidate-pair scan at a pair
-/// boundary and restore it in another process.  The scan order
-/// (Db.Uses outer, FreesByVar[use.var] inner) is deterministic, so a
-/// cursor plus the accumulated races and counters resumes to exactly
-/// the report an uninterrupted scan produces.
-struct DetectFrontier {
-  /// Next unprocessed pair: use index into Db.Uses, position into that
-  /// use's FreesByVar list.  Everything lexicographically below has been
-  /// scanned and is reflected in Races/Filters.
-  uint32_t UseIdx = 0;
-  uint32_t FreePos = 0;
-  /// The deadline ladder's first rung had already shed the lockset and
-  /// if-guard filters when this frontier was frozen; a resume continues
-  /// with them shed (and the report flagged accordingly), so the
-  /// resumed report equals the uninterrupted shed run's.
-  bool FiltersShed = false;
-  FilterCounters Filters;
-  /// One reported race, keyed by the trace records of its first dynamic
-  /// instance (stable across processes; the full PtrAccess is
-  /// rehydrated from a freshly extracted AccessDb on resume).
-  struct RaceEntry {
-    uint32_t UseRecord = 0;
-    uint32_t FreeRecord = 0;
-    uint8_t Category = 0;
-    uint32_t DynamicCount = 1;
-  };
-  std::vector<RaceEntry> Races;
-};
+/// The cadence the streaming scan runs at for \p Requested: the
+/// resolved request, DefaultWindowEvents when none was made, and
+/// WindowOff only when it was requested explicitly.
+uint64_t scanWindowEvents(uint64_t Requested);
 
-/// Checkpoint hooks for the pair scan.  Save, when set, is called at
-/// cadence ticks (EveryMillis of wall time since detector entry,
-/// polled at the same ~4k-pair granularity as the deadline clock) and
-/// always when the detect deadline cuts the scan.  Resume seeds the
-/// scan from a saved frontier; the detector validates it against the
-/// extracted accesses and sets ResumeAccepted, silently starting from
-/// scratch on any mismatch (a stale frontier must degrade to a clean
-/// run, never a wrong report).
-struct DetectCheckpointing {
-  double EveryMillis = 0;
-  std::function<void(const DetectFrontier &)> Save;
-  const DetectFrontier *Resume = nullptr;
-  bool ResumeAccepted = false;
-};
-
-/// Frozen state of the windowed streaming scan (WindowedScan.cpp) at a
-/// pair boundary.  Unlike the batch DetectFrontier, races are not yet
-/// committed when the scan freezes -- dedup and classification run once
-/// at the end over the survivor set -- so the frontier carries the
-/// surviving pairs instead, identified by their stable use/free
-/// ordinals (positions in promotion/record order, identical across
-/// processes by construction).
-struct WindowedDetectFrontier {
+/// Frozen state of the streaming scan (WindowedScan.cpp) at a pair
+/// boundary.  Races are not yet committed when the scan freezes --
+/// dedup and classification run once at the end over the survivor set
+/// -- so the frontier carries the surviving pairs, identified by their
+/// stable use/free ordinals (positions in promotion/record order,
+/// identical across processes by construction).  The retirement cadence
+/// never changes which pairs are admitted at a record or their order,
+/// so a frontier resumes under any cadence.
+struct ScanFrontier {
   /// First record whose admitted pairs are not fully processed.
   uint32_t CursorRecord = 0;
   /// Pairs admitted at CursorRecord that were already processed (the
   /// within-record enumeration order -- retained-bucket insertion
   /// order -- is deterministic, so a count is a cursor).
   uint64_t PairsDoneAtCursor = 0;
+  /// The deadline ladder's first rung had already shed the lockset and
+  /// if-guard filters when this frontier was frozen; a resume continues
+  /// with them shed (and the report flagged accordingly), so the
+  /// resumed report equals the uninterrupted shed run's.
   bool FiltersShed = false;
   FilterCounters Filters;
   /// One surviving pair.  Records and sites ride along for validation
@@ -141,21 +113,28 @@ struct WindowedDetectFrontier {
   std::vector<SurvivorEntry> Survivors;
 };
 
-/// Checkpoint hooks for the windowed scan; same contract as
-/// DetectCheckpointing (cadence saves, save on deadline cut, validated
-/// resume that silently restarts from scratch on mismatch).
-struct WindowedDetectCheckpointing {
+/// Checkpoint hooks for the streaming scan.  Save, when set, is called
+/// at cadence ticks (EveryMillis of wall time since the scan started,
+/// polled every ~4k pairs, like the deadline clock) and always when the
+/// detect deadline cuts the scan.  Resume seeds the scan from a saved
+/// frontier; the scan validates it against the trace and sets
+/// ResumeAccepted, silently starting from scratch on any mismatch (a
+/// stale frontier must degrade to a clean run, never a wrong report).
+struct ScanCheckpointing {
   double EveryMillis = 0;
-  std::function<void(const WindowedDetectFrontier &)> Save;
-  const WindowedDetectFrontier *Resume = nullptr;
+  std::function<void(const ScanFrontier &)> Save;
+  const ScanFrontier *Resume = nullptr;
   bool ResumeAccepted = false;
 };
 
-/// Observability counters of one windowed scan, surfaced in the
+/// Observability counters of one streaming scan, surfaced in the
 /// analyzer's stats block and the scaling bench.
 struct WindowedDetectStats {
   /// Retirement sweep cadence actually used (records).
   uint64_t WindowEvents = 0;
+  /// Wall time of the counting pre-pass (pass A), in milliseconds --
+  /// the scan's extraction phase.
+  double PrePassMillis = 0;
   /// Chain count of the frontier reachability rows.
   uint32_t Chains = 0;
   /// Peak simultaneously-live reachability rows / their bytes.
@@ -166,42 +145,44 @@ struct WindowedDetectStats {
   /// Peak of the combined analysis overlay (rows + retained accesses),
   /// sampled at every insertion and sweep.
   size_t OverlayHighWaterBytes = 0;
-  /// Extraction tallies.  The windowed path never materializes an
-  /// AccessDb, so analyzeTrace fills its trace stats from these.
+  /// Extraction tallies.  The scan never materializes an AccessDb, so
+  /// analyzeTrace fills its trace stats from these.
   uint64_t NumUses = 0, NumFrees = 0, NumAllocs = 0, NumBranches = 0;
   uint64_t UnmatchedReads = 0, UnmatchedDerefs = 0;
 };
 
-/// Windowed streaming detection over a *final* (post-fixpoint) \p Hb:
-/// two extraction passes (a counting pre-pass deriving retention
-/// horizons, then the scan itself), pairs evaluated as their later
-/// access streams by, accesses retired once no future counterpart can
-/// pair with them.  Emits a report byte-identical to the batch
-/// detectUseFreeRaces at every window size -- the window is only the
-/// retirement sweep cadence -- while never holding the full access
-/// tables or a full reachability closure resident.  \p WindowEvents
-/// must be a concrete cadence (not 0/WindowOff; callers resolve
-/// first).  \p Index is only consulted for the conventional-model
-/// classification pass.
-RaceReport detectUseFreeRacesWindowed(
-    const Trace &T, const TaskIndex &Index, const HbIndex &Hb,
-    const DetectorOptions &Options, uint64_t WindowEvents,
-    const DerefResolver *Resolver = nullptr,
-    WindowedDetectStats *Stats = nullptr,
-    WindowedDetectCheckpointing *Ckpt = nullptr);
+/// The detector: streaming detection over a *final* (post-fixpoint)
+/// \p Hb.  Two extraction passes (a counting pre-pass deriving
+/// retention horizons, then the scan itself), pairs evaluated as their
+/// later access streams by, accesses retired once no future counterpart
+/// can pair with them.  Emits a report byte-identical to the batch
+/// reference detectUseFreeRaces at every cadence -- \p WindowEvents is
+/// only the retirement sweep cadence (WindowOff: one sweep at the end)
+/// -- while never holding the full access tables or a full
+/// reachability closure resident.  \p WindowEvents must be a resolved
+/// cadence, not 0 (see scanWindowEvents).  \p Index is only consulted
+/// for the conventional-model classification pass.
+RaceReport detectUseFreeRacesWindowed(const Trace &T, const TaskIndex &Index,
+                                      const HbIndex &Hb,
+                                      const DetectorOptions &Options,
+                                      uint64_t WindowEvents,
+                                      const DerefResolver *Resolver = nullptr,
+                                      WindowedDetectStats *Stats = nullptr,
+                                      ScanCheckpointing *Ckpt = nullptr);
 
-/// Runs the full CAFA pipeline on \p T: extract accesses, build the
-/// causality model, detect and filter use-free races, classify.
+/// Runs the full CAFA pipeline on \p T: build the causality model, then
+/// detect, filter and classify use-free races with the streaming scan
+/// at Options.WindowEvents' cadence (deadline ladder included).
 RaceReport detectUseFreeRaces(const Trace &T, const DetectorOptions &Options);
 
-/// Same, but reuses an already-extracted \p Db and built \p Hb (the
-/// benchmarks time phases separately).  \p Ckpt, when non-null, enables
-/// crash-safe checkpoint/resume of the pair scan (see
-/// DetectCheckpointing).
+/// The batch reference scan: every (use, free) pair of a materialized
+/// \p Db, use-major, against a built \p Hb.  No deadline, no
+/// checkpoints -- it exists so differential tests (and the benchmark's
+/// layered pipeline) can check the streaming scan against the plainest
+/// rendering of Section 4.
 RaceReport detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
                               const AccessDb &Db, const HbIndex &Hb,
-                              const DetectorOptions &Options,
-                              DetectCheckpointing *Ckpt = nullptr);
+                              const DetectorOptions &Options);
 
 /// Returns true if \p Use is proven safe by a guarded branch, per the
 /// Figure 6 pc-interval rules.  Exposed for unit testing.

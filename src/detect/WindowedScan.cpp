@@ -1,13 +1,14 @@
-//===- detect/WindowedScan.cpp - Windowed streaming detection ---------------===//
+//===- detect/WindowedScan.cpp - The streaming detector scan -----------------===//
 //
 // Part of the CAFA reproduction project.
 // SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// The bounded-memory counterpart of the batch pair scan in
-// UseFreeDetector.cpp (docs/windowed-analysis.md).  Two extraction
-// passes over the record stream:
+// The detector of Section 4 as one forward pass with bounded memory
+// (docs/windowed-analysis.md); the batch pair scan in
+// UseFreeDetector.cpp survives only as its test reference.  Two
+// extraction passes over the record stream:
 //
 //  - Pass A (PrePassSink) counts and indexes without retaining bodies:
 //    use ordinals keyed by read record, per-cell last-use/last-free
@@ -22,14 +23,15 @@
 //    frees.  Retained accesses drop at their pass-A horizon -- the
 //    record after which no future counterpart can pair with them --
 //    swept every WindowEvents records (the window is only the sweep
-//    cadence, which is why every window size emits identical reports).
+//    cadence, which is why every window size emits identical reports;
+//    WindowOff never sweeps before the end of the trace).
 //    Happens-before queries go to WindowedReach, whose frontier rows
 //    advance with the same cursor.
 //
 // Surviving pairs are tiny ordinal tuples; dedup, dynamic-instance
 // counting, and (b)/(c) classification run once at the end, over the
-// survivors sorted into the batch scan's (use, free) order, committing
-// through the same logic -- so the two detectors' reports are
+// survivors sorted into the reference scan's (use, free) order,
+// committing through the same logic -- so the two scans' reports are
 // byte-identical on every complete run.
 //
 //===----------------------------------------------------------------------===//
@@ -63,6 +65,14 @@ uint64_t cafa::resolveWindowEvents(uint64_t Requested) {
         return static_cast<uint64_t>(V);
       },
       [] { return DetectorOptions::WindowOff; });
+}
+
+uint64_t cafa::scanWindowEvents(uint64_t Requested) {
+  uint64_t Window = resolveWindowEvents(Requested);
+  if (Window == DetectorOptions::WindowOff &&
+      Requested != DetectorOptions::WindowOff)
+    return DetectorOptions::DefaultWindowEvents;
+  return Window;
 }
 
 namespace {
@@ -208,7 +218,7 @@ public:
   WindowScanSink(const Trace &T, const DetectorOptions &Options,
                  const PrePassSink &Pre, WindowedReach &WR,
                  RaceReport &Report, uint64_t Window,
-                 WindowedDetectCheckpointing *Ckpt)
+                 ScanCheckpointing *Ckpt)
       : T(T), Options(Options), Pre(Pre), WR(WR), Report(Report),
         Window(Window), Ckpt(Ckpt),
         CanShed(Options.LocksetFilter || Options.IfGuardFilter) {
@@ -220,7 +230,7 @@ public:
   }
 
   // Scan results, read by the driver after streamAccesses returns.
-  std::vector<WindowedDetectFrontier::SurvivorEntry> Survivors;
+  std::vector<ScanFrontier::SurvivorEntry> Survivors;
   std::map<StaticKey, MinInst> MinInstances;
   bool FiltersShed = false;
   bool OutOfTime = false;
@@ -356,8 +366,8 @@ public:
   }
 
   /// Snapshot at the next unprocessed pair of \p Record.
-  WindowedDetectFrontier freeze(uint32_t Record, uint64_t Done) const {
-    WindowedDetectFrontier F;
+  ScanFrontier freeze(uint32_t Record, uint64_t Done) const {
+    ScanFrontier F;
     F.CursorRecord = Record;
     F.PairsDoneAtCursor = Done;
     F.FiltersShed = FiltersShed;
@@ -468,7 +478,8 @@ private:
   }
 
   /// Evaluates one (use, free) pair at its admission record -- the
-  /// same filter pipeline, in the same order, as the batch evalPair.
+  /// same filter pipeline, in the same order, as the reference scan's
+  /// evalPair.
   void handlePair(const PtrAccess &Use, uint32_t UseOrd, int8_t &Memo,
                   const PtrAccess &Free, uint32_t FreeOrd,
                   uint32_t AdmitRecord) {
@@ -546,7 +557,7 @@ private:
   WindowedReach &WR;
   RaceReport &Report;
   const uint64_t Window;
-  WindowedDetectCheckpointing *Ckpt;
+  ScanCheckpointing *Ckpt;
   const bool CanShed;
 
   std::unordered_map<uint32_t, VarBucket> Buckets;
@@ -626,34 +637,25 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     const Trace &T, const TaskIndex &Index, const HbIndex &Hb,
     const DetectorOptions &Options, uint64_t WindowEvents,
     const DerefResolver *Resolver, WindowedDetectStats *Stats,
-    WindowedDetectCheckpointing *Ckpt) {
-  assert(WindowEvents != 0 && WindowEvents != DetectorOptions::WindowOff &&
-         "callers resolve the window first");
+    ScanCheckpointing *Ckpt) {
+  assert(WindowEvents != 0 && "callers resolve the window first");
   RaceReport Report;
-  if (Hb.degradation().DeadlineExceeded) {
-    // Same preamble as the batch detector: a cut fixpoint
-    // under-approximates the relation, so the report is provisional.
-    Report.Partial = true;
-    Report.PartialCause = "hb-deadline";
-    const std::vector<std::string> &Rules =
-        Hb.degradation().UnsaturatedRules;
-    if (!Rules.empty()) {
-      Report.PartialDetail = "unsaturated rules:";
-      for (size_t I = 0; I != Rules.size(); ++I)
-        Report.PartialDetail += (I ? ", " : " ") + Rules[I];
-    }
-  }
-  // Whether classification will run: decided at entry exactly like the
-  // batch detector; the model itself builds on the first inter-thread
-  // race of the commit phase, so the scan runs with the overlay alone
-  // resident.
+  // A cut fixpoint under-approximates the relation, so the report is
+  // provisional.
+  flagHbDeadline(Report, Hb.degradation());
+  // Whether classification will run: decided at entry, before the
+  // deadline ladder can touch the report; the model itself builds on
+  // the first inter-thread race of the commit phase, so the scan runs
+  // with the overlay alone resident.
   std::optional<ConventionalOrder> Conv;
   if (Options.Classify && !Report.Partial)
     Conv.emplace(T, Index, Options.Hb);
 
   // Pass A: horizons and ordinals, no bodies.
+  Timer PrePass;
   PrePassSink Pre;
   StreamExtractCounts Counts = streamAccesses(T, Resolver, Pre);
+  double PrePassMillis = PrePass.elapsedWallMillis();
 
   WindowedReach WR(Hb.graph(), Pre.QueryHorizon);
   WindowScanSink Scan(T, Options, Pre, WR, Report, WindowEvents, Ckpt);
@@ -661,9 +663,9 @@ RaceReport cafa::detectUseFreeRacesWindowed(
   // Resume: validate the frontier's survivors against the pass-A
   // ordinals; any mismatch silently degrades to a full scan.
   if (Ckpt && Ckpt->Resume) {
-    const WindowedDetectFrontier &R = *Ckpt->Resume;
+    const ScanFrontier &R = *Ckpt->Resume;
     bool Ok = R.CursorRecord <= T.numRecords();
-    for (const WindowedDetectFrontier::SurvivorEntry &S : R.Survivors) {
+    for (const ScanFrontier::SurvivorEntry &S : R.Survivors) {
       if (S.UseOrd >= Pre.UseRecordByOrd.size() ||
           Pre.UseRecordByOrd[S.UseOrd] != S.UseRecord ||
           S.FreeOrd >= Pre.FreeRecordByOrd.size() ||
@@ -681,7 +683,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
         Scan.markShed();
       // Seed the per-key first instances; their bodies stream by
       // during the replay and are captured by ordinal.
-      for (const WindowedDetectFrontier::SurvivorEntry &S : R.Survivors) {
+      for (const ScanFrontier::SurvivorEntry &S : R.Survivors) {
         StaticKey Key{S.UseMethod, S.UsePc, S.FreeMethod, S.FreePc};
         MinInst &M = Scan.MinInstances[Key];
         if (std::make_pair(S.UseOrd, S.FreeOrd) <
@@ -742,17 +744,17 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     }
   }
 
-  // Commit: sort the survivors into the batch scan's order (use-major
+  // Commit: sort the survivors into the reference scan's order (use-major
   // by promotion ordinal, frees in record order within) and replay the
-  // batch commit -- dedup, dynamic counting, Table 1 classification.
+  // reference commit -- dedup, dynamic counting, Table 1 classification.
   std::sort(Scan.Survivors.begin(), Scan.Survivors.end(),
-            [](const WindowedDetectFrontier::SurvivorEntry &A,
-               const WindowedDetectFrontier::SurvivorEntry &B) {
+            [](const ScanFrontier::SurvivorEntry &A,
+               const ScanFrontier::SurvivorEntry &B) {
               return std::tie(A.UseOrd, A.FreeOrd) <
                      std::tie(B.UseOrd, B.FreeOrd);
             });
   std::map<StaticKey, size_t> Dedup;
-  for (const WindowedDetectFrontier::SurvivorEntry &S : Scan.Survivors) {
+  for (const ScanFrontier::SurvivorEntry &S : Scan.Survivors) {
     StaticKey Key{S.UseMethod, S.UsePc, S.FreeMethod, S.FreePc};
     auto It = Dedup.find(Key);
     if (It != Dedup.end()) {
@@ -778,6 +780,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
 
   if (Stats) {
     Stats->WindowEvents = WindowEvents;
+    Stats->PrePassMillis = PrePassMillis;
     Stats->Chains = WR.numChains();
     Stats->ReachHighWaterRows = WR.highWaterRows();
     Stats->ReachHighWaterBytes = WR.highWaterRowBytes();

@@ -163,10 +163,6 @@ std::vector<std::string> workerArgv(const FleetOptions &Options,
   if (Options.IngestThreads > 0)
     Argv.push_back(
         formatString("--ingest-threads=%u", Options.IngestThreads));
-  if (Options.WindowEvents > 0)
-    Argv.push_back(formatString("--window=%llu",
-                                static_cast<unsigned long long>(
-                                    Options.WindowEvents)));
   if (Options.Strict)
     Argv.push_back("--strict");
   if (double Deadline = fleetDeadlineForAttempt(Options, Attempt);

@@ -122,10 +122,6 @@ struct FleetOptions {
   size_t MemLimitBytes = 0;
   /// Forwarded to workers when nonzero.
   unsigned IngestThreads = 0;
-  /// Windowed streaming scan, forwarded as --window=<n> when nonzero
-  /// (docs/windowed-analysis.md); reports stay byte-identical, so this
-  /// is purely a worker-memory knob.
-  uint64_t WindowEvents = 0;
   /// --strict ingestion.
   bool Strict = false;
   /// Retry-delay schedule; each job derives its own deterministic

@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The windowed streaming scan's contract is byte-identity: at every
-// window size it must render exactly the batch detector's report --
-// the window is only the retirement sweep cadence, never a result
+// The streaming detector scan's contract is byte-identity: at every
+// window size it must render exactly the batch reference scan's report
+// -- the window is only the retirement sweep cadence, never a result
 // knob.  These tests pin that at the detect-function level, plus the
-// windowed frontier's cut/resume behaviour (the deadline ladder, shed
+// scan frontier's cut/resume behaviour (the deadline ladder, shed
 // state carried across a cut, and stale frontiers degrading to a clean
 // rescan).  Pipeline-level coverage lives in
 // tests/integration/WindowedAnalysisTest.cpp.
@@ -90,7 +90,7 @@ TEST(WindowedScanTest, EveryWindowSizeRendersTheBatchReport) {
     ASSERT_GT(Batch.Races.size(), 0u);
 
     for (uint64_t W : {uint64_t(1), uint64_t(64), uint64_t(4096),
-                       uint64_t(1) << 20}) {
+                       uint64_t(1) << 20, DetectorOptions::WindowOff}) {
       WindowedDetectStats Stats;
       RaceReport Win =
           detectUseFreeRacesWindowed(T, Index, Hb, Opt, W, nullptr, &Stats);
@@ -120,10 +120,10 @@ TEST(WindowedScanTest, CutThenResumeIsBitIdentical) {
   ASSERT_EQ(Clean.Filters.CandidatePairs, 4900u);
 
   // Cut the scan at its first clock poll; the deadline forces a save.
-  WindowedDetectFrontier Saved;
+  ScanFrontier Saved;
   bool Wrote = false;
-  WindowedDetectCheckpointing CutCk;
-  CutCk.Save = [&](const WindowedDetectFrontier &F) {
+  ScanCheckpointing CutCk;
+  CutCk.Save = [&](const ScanFrontier &F) {
     Saved = F;
     Wrote = true;
   };
@@ -140,7 +140,7 @@ TEST(WindowedScanTest, CutThenResumeIsBitIdentical) {
   // Resume from the saved frontier: the remaining pairs are scanned,
   // straggler survivor bodies are re-captured, and the rendered report
   // matches the uninterrupted one byte for byte.
-  WindowedDetectCheckpointing ResumeCk;
+  ScanCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   RaceReport Resumed =
       detectUseFreeRacesWindowed(T, Index, Hb, Opt, 16, nullptr, nullptr,
@@ -177,10 +177,10 @@ TEST(WindowedScanTest, ShedStateSurvivesResume) {
   Tiny.DeadlineMillis = 1e-6;
   HbIndex Hb(T, Index, Tiny.Hb);
 
-  WindowedDetectFrontier Saved;
+  ScanFrontier Saved;
   bool Wrote = false;
-  WindowedDetectCheckpointing CutCk;
-  CutCk.Save = [&](const WindowedDetectFrontier &F) {
+  ScanCheckpointing CutCk;
+  CutCk.Save = [&](const ScanFrontier &F) {
     Saved = F;
     Wrote = true;
   };
@@ -192,7 +192,7 @@ TEST(WindowedScanTest, ShedStateSurvivesResume) {
   ASSERT_TRUE(Wrote);
   EXPECT_TRUE(Saved.FiltersShed);
 
-  WindowedDetectCheckpointing ResumeCk;
+  ScanCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   DetectorOptions NoLimit;
   NoLimit.Classify = false;
@@ -203,6 +203,15 @@ TEST(WindowedScanTest, ShedStateSurvivesResume) {
   ASSERT_TRUE(Resumed.Partial);
   EXPECT_EQ(Resumed.PartialCause, "filters-shed");
   EXPECT_EQ(Resumed.Filters.CandidatePairs, 10816u);
+
+  // Nothing found before the cut is lost on resume.
+  for (const UseFreeRace &Race : Cut.Races) {
+    bool Found = false;
+    for (const UseFreeRace &R : Resumed.Races)
+      Found |= R.Use.Method == Race.Use.Method && R.Use.Pc == Race.Use.Pc &&
+               R.Free.Method == Race.Free.Method && R.Free.Pc == Race.Free.Pc;
+    EXPECT_TRUE(Found);
+  }
 }
 
 TEST(WindowedScanTest, StaleFrontierDegradesToACleanRescan) {
@@ -215,9 +224,9 @@ TEST(WindowedScanTest, StaleFrontierDegradesToACleanRescan) {
   HbIndex Hb(T, Index, Opt.Hb);
   RaceReport Clean = detectUseFreeRacesWindowed(T, Index, Hb, Opt, 16);
 
-  WindowedDetectFrontier Saved;
-  WindowedDetectCheckpointing CutCk;
-  CutCk.Save = [&](const WindowedDetectFrontier &F) { Saved = F; };
+  ScanFrontier Saved;
+  ScanCheckpointing CutCk;
+  CutCk.Save = [&](const ScanFrontier &F) { Saved = F; };
   DetectorOptions Tiny = Opt;
   Tiny.DeadlineMillis = 1e-6;
   (void)detectUseFreeRacesWindowed(T, Index, Hb, Tiny, 16, nullptr, nullptr,
@@ -228,7 +237,7 @@ TEST(WindowedScanTest, StaleFrontierDegradesToACleanRescan) {
   // (as after analyzing a different input) must be rejected wholesale;
   // the scan silently restarts and still produces the clean report.
   Saved.Survivors[0].UseRecord += 1;
-  WindowedDetectCheckpointing ResumeCk;
+  ScanCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   RaceReport Resumed =
       detectUseFreeRacesWindowed(T, Index, Hb, Opt, 16, nullptr, nullptr,

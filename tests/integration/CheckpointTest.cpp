@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <sys/stat.h>
 
 using namespace cafa;
@@ -52,7 +53,7 @@ Trace buildAppTrace() {
 }
 
 // Two unordered threads with 70 uses x 70 frees of one cell: 4900
-// candidate pairs, past the detector's 4096-pair clock poll, so a tiny
+// candidate pairs, past the scan's 4096-pair clock poll, so a tiny
 // detect deadline cuts the scan after a forced checkpoint save.
 Trace buildWideScanTrace() {
   TraceBuilder TB;
@@ -173,6 +174,9 @@ TEST(CheckpointTest, ResumeDiffsProvisionalRacesAgainstFinalReport) {
 }
 
 TEST(CheckpointTest, DetectScanCutThenResumeIsBitIdentical) {
+  // The scan frontier is cadence-independent: a scan cut while sweeping
+  // only at the end of the trace resumes under per-record sweeps and
+  // under the default cadence to the reference report.
   Trace T = buildWideScanTrace();
   TaskIndex Index(T);
   HbIndex Hb(T, Index, HbOptions());
@@ -185,37 +189,42 @@ TEST(CheckpointTest, DetectScanCutThenResumeIsBitIdentical) {
   Opt.Classify = false;
   Opt.LocksetFilter = false;
   Opt.IfGuardFilter = false;
-  RaceReport Clean = detectUseFreeRaces(T, Index, Db, Hb, Opt);
-  ASSERT_FALSE(Clean.Partial);
-  ASSERT_EQ(Clean.Filters.CandidatePairs, 4900u);
+  RaceReport Ref = detectUseFreeRaces(T, Index, Db, Hb, Opt);
+  ASSERT_EQ(Ref.Filters.CandidatePairs, 4900u);
 
   // Cut the scan at its first clock poll; the deadline forces a save.
-  DetectFrontier Saved;
+  ScanFrontier Saved;
   bool Wrote = false;
-  DetectCheckpointing CutCk;
-  CutCk.Save = [&](const DetectFrontier &F) {
+  ScanCheckpointing CutCk;
+  CutCk.Save = [&](const ScanFrontier &F) {
     Saved = F;
     Wrote = true;
   };
   DetectorOptions Tiny = Opt;
   Tiny.DeadlineMillis = 1e-6;
-  RaceReport Cut = detectUseFreeRaces(T, Index, Db, Hb, Tiny, &CutCk);
+  RaceReport Cut =
+      detectUseFreeRacesWindowed(T, Index, Hb, Tiny, DetectorOptions::WindowOff,
+                                 nullptr, nullptr, &CutCk);
   ASSERT_TRUE(Cut.Partial);
   EXPECT_EQ(Cut.PartialCause, "detect-deadline");
   ASSERT_TRUE(Wrote);
   EXPECT_LT(Cut.Filters.CandidatePairs, 4900u);
 
   // Resume from the saved frontier: the remaining pairs are scanned and
-  // the rendered report matches the uninterrupted one byte for byte.
-  DetectCheckpointing ResumeCk;
-  ResumeCk.Resume = &Saved;
-  RaceReport Resumed = detectUseFreeRaces(T, Index, Db, Hb, Opt, &ResumeCk);
-  EXPECT_TRUE(ResumeCk.ResumeAccepted);
-  EXPECT_FALSE(Resumed.Partial);
-  EXPECT_EQ(Resumed.Filters.CandidatePairs, 4900u);
-  EXPECT_EQ(renderRaceReportJson(Resumed, T),
-            renderRaceReportJson(Clean, T));
-  EXPECT_EQ(renderRaceReport(Resumed, T), renderRaceReport(Clean, T));
+  // the rendered report matches the reference byte for byte.
+  for (uint64_t W : {uint64_t(1), DetectorOptions::DefaultWindowEvents}) {
+    SCOPED_TRACE("resume window " + std::to_string(W));
+    ScanCheckpointing ResumeCk;
+    ResumeCk.Resume = &Saved;
+    RaceReport Resumed = detectUseFreeRacesWindowed(T, Index, Hb, Opt, W,
+                                                    nullptr, nullptr,
+                                                    &ResumeCk);
+    EXPECT_TRUE(ResumeCk.ResumeAccepted);
+    EXPECT_FALSE(Resumed.Partial);
+    EXPECT_EQ(Resumed.Filters.CandidatePairs, 4900u);
+    EXPECT_EQ(renderRaceReportJson(Resumed, T), renderRaceReportJson(Ref, T));
+    EXPECT_EQ(renderRaceReport(Resumed, T), renderRaceReport(Ref, T));
+  }
 }
 
 TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
@@ -223,7 +232,8 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
   // first poll and cuts at the second.  The frontier must carry the
   // shed flag so a resume keeps scanning with filters shed -- silently
   // re-enabling them would make the report depend on where the cut
-  // happened to land.
+  // happened to land.  Cut under per-record sweeps, resumed under one
+  // sweep at the end: the cadence is not part of the frontier.
   TraceBuilder TB;
   MethodId M = TB.addMethod("m", 4096);
   TaskId A = TB.addThread("user");
@@ -241,19 +251,19 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
   Trace T = TB.take();
   TaskIndex Index(T);
   HbIndex Hb(T, Index, HbOptions());
-  AccessDb Db = extractAccesses(T, Index);
 
-  DetectFrontier Saved;
+  ScanFrontier Saved;
   bool Wrote = false;
-  DetectCheckpointing CutCk;
-  CutCk.Save = [&](const DetectFrontier &F) {
+  ScanCheckpointing CutCk;
+  CutCk.Save = [&](const ScanFrontier &F) {
     Saved = F;
     Wrote = true;
   };
   DetectorOptions Tiny;
   Tiny.Classify = false;
   Tiny.DeadlineMillis = 1e-6;
-  RaceReport Cut = detectUseFreeRaces(T, Index, Db, Hb, Tiny, &CutCk);
+  RaceReport Cut = detectUseFreeRacesWindowed(T, Index, Hb, Tiny, 1, nullptr,
+                                              nullptr, &CutCk);
   ASSERT_TRUE(Cut.Partial);
   EXPECT_EQ(Cut.PartialCause, "detect-deadline");
   ASSERT_TRUE(Wrote);
@@ -261,11 +271,13 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
 
   // Resume without a deadline: the scan finishes, and the report stays
   // flagged as a filters-shed run covering every pair.
-  DetectCheckpointing ResumeCk;
+  ScanCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   DetectorOptions NoLimit;
   NoLimit.Classify = false;
-  RaceReport Resumed = detectUseFreeRaces(T, Index, Db, Hb, NoLimit, &ResumeCk);
+  RaceReport Resumed = detectUseFreeRacesWindowed(
+      T, Index, Hb, NoLimit, DetectorOptions::WindowOff, nullptr, nullptr,
+      &ResumeCk);
   EXPECT_TRUE(ResumeCk.ResumeAccepted);
   ASSERT_TRUE(Resumed.Partial);
   EXPECT_EQ(Resumed.PartialCause, "filters-shed");
@@ -502,39 +514,46 @@ TEST(CheckpointTest, CadenceSnapshotsStaySmallOnMyTracks) {
 }
 
 TEST(CheckpointTest, V4SnapshotIsRejectedToACleanRestart) {
-  // v4 frontiers carried oracle payloads; the v5 reader must refuse
-  // them through the version check and restart cleanly.
+  // v4 frontiers carried oracle payloads and v5 files a batch pair-scan
+  // payload; the v6 reader must refuse both through the version check
+  // and restart cleanly, never resuming a wrong report.
   Trace T = buildAppTrace();
-  std::string Dir = freshCheckpointDir("v4");
-  std::string Path = checkpointPath(Dir);
   AnalysisResult Clean = analyzeTrace(T, DetectorOptions());
+  for (char Version : {4, 5}) {
+    SCOPED_TRACE("version " + std::to_string(Version));
+    std::string Dir = freshCheckpointDir("old_version");
+    std::string Path = checkpointPath(Dir);
 
-  DetectorOptions Tiny;
-  Tiny.DeadlineMillis = 1e-6;
-  CheckpointOptions Ckpt;
-  Ckpt.Directory = Dir;
-  analyzeTrace(T, withCheckpoint(Tiny, Ckpt));
-  std::string Bytes = readFile(Path);
-  ASSERT_GT(Bytes.size(), 12u);
-  Bytes[8] = 4; // the little-endian u32 version right after the magic
-  writeFile(Path, Bytes);
+    DetectorOptions Tiny;
+    Tiny.DeadlineMillis = 1e-6;
+    CheckpointOptions Ckpt;
+    Ckpt.Directory = Dir;
+    analyzeTrace(T, withCheckpoint(Tiny, Ckpt));
+    std::string Bytes = readFile(Path);
+    ASSERT_GT(Bytes.size(), 12u);
+    Bytes[8] = Version; // the little-endian u32 version after the magic
+    writeFile(Path, Bytes);
 
-  Ckpt.Resume = true;
-  AnalysisResult R = analyzeTrace(T, withCheckpoint(DetectorOptions(), Ckpt));
-  EXPECT_TRUE(R.Resume.Attempted);
-  EXPECT_FALSE(R.Resume.Resumed);
-  EXPECT_NE(R.Resume.RejectReason.find("unsupported snapshot version 4"),
-            std::string::npos)
-      << R.Resume.RejectReason;
-  EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
-  EXPECT_EQ(renderRaceReportJson(R.Report, T),
-            renderRaceReportJson(Clean.Report, T));
+    Ckpt.Resume = true;
+    AnalysisResult R =
+        analyzeTrace(T, withCheckpoint(DetectorOptions(), Ckpt));
+    EXPECT_TRUE(R.Resume.Attempted);
+    EXPECT_FALSE(R.Resume.Resumed);
+    EXPECT_NE(R.Resume.RejectReason.find("unsupported snapshot version " +
+                                         std::to_string(Version)),
+              std::string::npos)
+        << R.Resume.RejectReason;
+    EXPECT_EQ(renderRaceReport(R.Report, T),
+              renderRaceReport(Clean.Report, T));
+    EXPECT_EQ(renderRaceReportJson(R.Report, T),
+              renderRaceReportJson(Clean.Report, T));
+  }
 }
 
 TEST(CheckpointTest, SnapshotRecordingTheRetiredIncrementalModeResumes) {
   // Snapshots written before the closure oracles merged record the
   // reserved Incremental as the oracle they ran under.  The field is
-  // informational: such a v5 snapshot must still be accepted, and the
+  // informational: such a v6 snapshot must still be accepted, and the
   // resume rebuilds the default closure and ends byte-identical.
   Trace T = buildAppTrace();
   std::string Dir = freshCheckpointDir("incremental");
@@ -579,11 +598,11 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.Hb.AtomCursors = {{4, 2}, {2, 0}};
   Snap.Hb.SendCursors = {{8, 5}};
   Snap.Hb.UnsaturatedRules = {"atomicity"};
-  Snap.HasDetect = true;
-  Snap.Detect.UseIdx = 11;
-  Snap.Detect.FreePos = 3;
-  Snap.Detect.Filters.CandidatePairs = 4096;
-  Snap.Detect.Races = {{5, 6, 2, 3}};
+  Snap.HasScan = true;
+  Snap.Scan.CursorRecord = 11;
+  Snap.Scan.PairsDoneAtCursor = 3;
+  Snap.Scan.Filters.CandidatePairs = 4096;
+  Snap.Scan.Survivors = {{5, 6, 50, 60, 1, 2, 3, 4, 1}};
   Snap.HasPartialRaces = true;
   Snap.PartialRaces = {{1, 2, 3, 4, "label one"}, {5, 6, 7, 8, "two"}};
 
@@ -608,12 +627,13 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back.Hb.AtomCursors[0].I, 2u);
   ASSERT_EQ(Back.Hb.UnsaturatedRules.size(), 1u);
   EXPECT_EQ(Back.Hb.UnsaturatedRules[0], "atomicity");
-  ASSERT_TRUE(Back.HasDetect);
-  EXPECT_EQ(Back.Detect.UseIdx, 11u);
-  EXPECT_EQ(Back.Detect.FreePos, 3u);
-  EXPECT_EQ(Back.Detect.Filters.CandidatePairs, 4096u);
-  ASSERT_EQ(Back.Detect.Races.size(), 1u);
-  EXPECT_EQ(Back.Detect.Races[0].DynamicCount, 3u);
+  ASSERT_TRUE(Back.HasScan);
+  EXPECT_EQ(Back.Scan.CursorRecord, 11u);
+  EXPECT_EQ(Back.Scan.PairsDoneAtCursor, 3u);
+  EXPECT_EQ(Back.Scan.Filters.CandidatePairs, 4096u);
+  ASSERT_EQ(Back.Scan.Survivors.size(), 1u);
+  EXPECT_EQ(Back.Scan.Survivors[0].FreeRecord, 60u);
+  EXPECT_EQ(Back.Scan.Survivors[0].SameLooper, 1u);
   ASSERT_TRUE(Back.HasPartialRaces);
   ASSERT_EQ(Back.PartialRaces.size(), 2u);
   EXPECT_EQ(Back.PartialRaces[0].Label, "label one");

@@ -202,17 +202,23 @@ TEST_F(ExitCodesTest, Exit4ResumeFromCheckpointCompletes) {
 
 TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   // The --json stats line (stderr) carries the text block's phase
-  // timings and checkpoint counters, and "chains" reports the chain
-  // oracle's width when no window ran.
+  // timings and checkpoint counters.  "extract" is the detector scan's
+  // counting pre-pass, never a placeholder 0, and "chains" reports the
+  // chain oracle's width when the chain oracle ran -- the scan
+  // frontier's width must not overwrite it.  No per-run note about the
+  // scan itself: every run streams.
   std::string Dir = Scratch + "/stats";
   ::mkdir(Dir.c_str(), 0755);
   std::vector<std::string> Args = {"analyze", RacyTrace, "--reach=chain",
-                                   "--window=off", "--checkpoint-dir=" + Dir,
+                                   "--checkpoint-dir=" + Dir,
                                    "--checkpoint-every=0.0000001"};
   ExitRun Text = runAnalyzer(Args, Scratch);
   ASSERT_EQ(Text.ExitCode, 1) << Text.Err;
-  EXPECT_NE(Text.Err.find("analysis: extract "), std::string::npos);
+  size_t Extract = Text.Err.find("analysis: extract ");
+  ASSERT_NE(Extract, std::string::npos) << Text.Err;
+  EXPECT_GT(std::atof(Text.Err.c_str() + Extract + 18), 0.0) << Text.Err;
   EXPECT_NE(Text.Err.find("checkpoints: "), std::string::npos) << Text.Err;
+  EXPECT_EQ(Text.Err.find("windowed scan"), std::string::npos) << Text.Err;
 
   Args.push_back("--json");
   ExitRun Json = runAnalyzer(Args, Scratch);
@@ -221,14 +227,24 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
                           "\"rounds\":", "\"checkpoint_bytes\":",
                           "\"checkpoint_ms\":", "\"peak_rss_bytes\":"})
     EXPECT_NE(Json.Err.find(Key), std::string::npos) << Key << Json.Err;
+  EXPECT_EQ(Json.Err.find("windowed scan"), std::string::npos) << Json.Err;
   auto Field = [&](const std::string &Key) {
     size_t At = Json.Err.find("\"" + Key + "\":");
     return At == std::string::npos
-               ? -1
-               : std::atol(Json.Err.c_str() + At + Key.size() + 3);
+               ? -1.0
+               : std::atof(Json.Err.c_str() + At + Key.size() + 3);
   };
-  EXPECT_GT(Field("checkpoint_saves"), 0) << Json.Err;
-  EXPECT_GT(Field("chains"), 0) << Json.Err;
+  EXPECT_GT(Field("extract_ms"), 0.0) << Json.Err;
+  EXPECT_GT(Field("checkpoint_saves"), 0.0) << Json.Err;
+
+  Trace T;
+  ASSERT_TRUE(readTraceFile(RacyTrace, T).ok());
+  TaskIndex Index(T);
+  HbOptions Chain;
+  Chain.Reach = ReachMode::Chain;
+  size_t ChainCount = HbIndex(T, Index, Chain).degradation().ChainCount;
+  ASSERT_GT(ChainCount, 0u);
+  EXPECT_EQ(Field("chains"), static_cast<double>(ChainCount)) << Json.Err;
 }
 
 TEST_F(ExitCodesTest, StatsLinesCarryPerRoundHbTimings) {
@@ -266,6 +282,26 @@ TEST_F(ExitCodesTest, StatsLinesCarryPerRoundHbTimings) {
             std::string::npos)
       << Json.Err;
   EXPECT_EQ(Json.Err.find("\"dispatch\""), std::string::npos) << Json.Err;
+}
+
+TEST_F(ExitCodesTest, FleetRetiredFlagsAreUsageErrors) {
+  // The fleet forwards no detector knobs: --window and
+  // --analysis-threads are unknown flags, refused with the usage text
+  // before a batch starts.
+  std::string Manifest = Scratch + "/retired.manifest";
+  {
+    std::ofstream Out(Manifest);
+    Out << "job " << CleanTrace << "\n";
+  }
+  for (const char *Flag : {"--window=4096", "--analysis-threads=2"}) {
+    ExitRun R = runTool(CAFA_FLEET_PATH,
+                        {"run", Manifest, "--checkpoint-root=" + Scratch +
+                                              "/retired.fleet",
+                         Flag},
+                        Scratch);
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Err.find("usage:"), std::string::npos) << Flag << R.Err;
+  }
 }
 
 TEST_F(ExitCodesTest, ServerUsageAndSetupErrorsExitTwo) {

@@ -5,23 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pipeline-level contract of the windowed streaming analysis
-// (docs/windowed-analysis.md): at every window size the analyzer
-// renders byte-identical reports, the memory-pressure
-// ladder sheds to the window without changing a byte, a run cut in
-// either detect mode resumes in the other (the snapshot's happens-
-// before frontier is mode-agnostic and WindowEvents is excluded from
-// the options digest), SIGKILL mid-windowed-run resumes byte-identical
-// at the process level, and an input too big for --mem-limit fails
-// with a clean usage error unless a window streams it.
+// Pipeline-level contract of the streaming detector scan
+// (docs/windowed-analysis.md): at every sweep cadence the analyzer
+// renders the batch reference scan's report byte for byte, the memory
+// ladder downgrades only the oracle, a run cut under one cadence
+// resumes under another (WindowEvents is excluded from the options
+// digest), SIGKILL mid-run resumes byte-identical at the process
+// level, and an input too big for --mem-limit fails with a clean usage
+// error unless an explicit cadence streams it.
 //
-// Batch references pin WindowEvents = WindowOff: these tests also run
-// under the windowed CI leg, where CAFA_WINDOW is set for the whole
-// suite and would otherwise silently turn the reference windowed.
+// References call the batch scan directly (referenceReport), so the
+// windowed CI leg's suite-wide CAFA_WINDOW cannot reach them; streamed
+// runs pin their cadence explicitly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppKit.h"
+#include "apps/Apps.h"
 #include "cafa/Cafa.h"
 #include "cafa/ReportJson.h"
 #include "rt/Runtime.h"
@@ -70,19 +70,29 @@ std::vector<std::string> fixtureFiles() {
   return Files;
 }
 
-/// Both renderings of an analysis at \p Window.
+/// Both renderings of \p R.
+std::pair<std::string, std::string> render(const RaceReport &R,
+                                           const Trace &T) {
+  return {renderRaceReport(R, T), renderRaceReportJson(R, T)};
+}
+
+/// The batch reference scan over a materialized AccessDb.
+RaceReport referenceReport(const Trace &T,
+                           const DetectorOptions &Opt = DetectorOptions()) {
+  TaskIndex Index(T);
+  HbIndex Hb(T, Index, Opt.Hb);
+  AccessDb Db = extractAccesses(T, Index);
+  return detectUseFreeRaces(T, Index, Db, Hb, Opt);
+}
+
+/// Both renderings of an analysis at sweep cadence \p Window.
 std::pair<std::string, std::string> renderWith(const Trace &T,
                                                uint64_t Window) {
   DetectorOptions Opt;
   Opt.WindowEvents = Window;
   AnalysisResult R = analyzeTrace(T, Opt);
-  if (Window != DetectorOptions::WindowOff) {
-    EXPECT_EQ(R.WindowEventsUsed, Window);
-    EXPECT_EQ(R.ExtractMillis, 0.0);
-  } else {
-    EXPECT_EQ(R.WindowEventsUsed, 0u);
-  }
-  return {renderRaceReport(R.Report, T), renderRaceReportJson(R.Report, T)};
+  EXPECT_EQ(R.WindowEventsUsed, Window);
+  return render(R.Report, T);
 }
 
 TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
@@ -95,9 +105,32 @@ TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
     Status S = ingestTrace(readFile(Path), T, Ingest);
     if (!S.ok())
       continue; // rejected fixtures are ingest-layer tests, not ours
-    auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff);
-    for (uint64_t Window : {uint64_t(64), uint64_t(4096)}) {
+    auto [RefText, RefJson] = render(referenceReport(T), T);
+    for (uint64_t Window :
+         {uint64_t(64), uint64_t(4096), DetectorOptions::WindowOff}) {
       auto [Text, Json] = renderWith(T, Window);
+      EXPECT_EQ(Text, RefText) << "window " << Window;
+      EXPECT_EQ(Json, RefJson) << "window " << Window;
+    }
+  }
+}
+
+TEST(WindowedAnalysisTest, AppModelsMatchTheReferenceAtEveryCadence) {
+  // The ten Table 1 apps through the production path at the default
+  // cadence and at per-record sweeps, against the batch reference.
+  for (const std::string &Name : apps::appNames()) {
+    SCOPED_TRACE(Name);
+    Trace T = runScenario(apps::buildApp(Name).S, RuntimeOptions());
+    DetectorOptions Opt;
+    TaskIndex Index(T);
+    HbIndex Hb(T, Index, Opt.Hb);
+    AccessDb Db = extractAccesses(T, Index);
+    auto [RefText, RefJson] =
+        render(detectUseFreeRaces(T, Index, Db, Hb, Opt), T);
+    for (uint64_t Window : {DetectorOptions::DefaultWindowEvents,
+                            uint64_t(1)}) {
+      auto [Text, Json] = render(
+          detectUseFreeRacesWindowed(T, Index, Hb, Opt, Window), T);
       EXPECT_EQ(Text, RefText) << "window " << Window;
       EXPECT_EQ(Json, RefJson) << "window " << Window;
     }
@@ -198,10 +231,11 @@ class RandomWindowParityTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(RandomWindowParityTest, ReportsByteIdenticalAcrossWindowSizes) {
   Trace T = randomPtrTrace(GetParam() * 0x9E3779B97F4A7C15ull + 3, 250);
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
-  auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff);
+  auto [RefText, RefJson] = render(referenceReport(T), T);
   // Window 64 is deliberately pathological: most traces span a few
   // thousand records, so the scan sweeps dozens of times per run.
-  for (uint64_t Window : {uint64_t(64), uint64_t(1024)}) {
+  for (uint64_t Window :
+       {uint64_t(64), uint64_t(1024), DetectorOptions::WindowOff}) {
     auto [Text, Json] = renderWith(T, Window);
     ASSERT_EQ(Text, RefText)
         << "seed " << GetParam() << " window " << Window;
@@ -260,27 +294,23 @@ TEST(WindowedAnalysisTest, DeadlineCutResumesWindowedByteIdentical) {
   std::remove(checkpointPath(Dir).c_str());
 }
 
-TEST(WindowedAnalysisTest, CrossModeResumeRecomputesNeverRejects) {
-  // WindowEvents is excluded from the options digest on purpose: a
-  // snapshot cut in one detect mode must resume in the other.  The
-  // happens-before frontier is mode-agnostic; any frozen detect
-  // frontier of the *other* mode is simply not applicable and the
-  // detect phase recomputes from the restored relation.
+TEST(WindowedAnalysisTest, CrossCadenceResumeNeverRejects) {
+  // WindowEvents is excluded from the options digest on purpose: the
+  // cadence is a memory knob, so a snapshot cut under one cadence must
+  // resume under another and end on the reference report.
   Trace T = buildAppTrace();
-  DetectorOptions Batch;
-  Batch.WindowEvents = DetectorOptions::WindowOff;
+  DetectorOptions Off;
+  Off.WindowEvents = DetectorOptions::WindowOff;
   DetectorOptions Win;
   Win.WindowEvents = 64;
-  AnalysisResult Clean = analyzeTrace(T, Batch);
-  ASSERT_FALSE(Clean.Report.Partial);
-  std::string CleanJson = renderRaceReportJson(Clean.Report, T);
+  std::string RefJson = renderRaceReportJson(referenceReport(T), T);
 
   struct Direction {
     const char *Name;
     DetectorOptions CutAs, ResumeAs;
   };
-  const Direction Directions[] = {{"batch-to-windowed", Batch, Win},
-                                  {"windowed-to-batch", Win, Batch}};
+  const Direction Directions[] = {{"off-to-64", Off, Win},
+                                  {"64-to-off", Win, Off}};
   for (const Direction &D : Directions) {
     SCOPED_TRACE(D.Name);
     std::string Dir = freshCheckpointDir(D.Name);
@@ -297,45 +327,39 @@ TEST(WindowedAnalysisTest, CrossModeResumeRecomputesNeverRejects) {
     AnalysisResult Resumed = analyzeTrace(T, ResumeOpt);
     EXPECT_TRUE(Resumed.Resume.Resumed) << Resumed.Resume.RejectReason;
     EXPECT_FALSE(Resumed.Report.Partial);
-    EXPECT_EQ(renderRaceReportJson(Resumed.Report, T), CleanJson);
+    EXPECT_EQ(renderRaceReportJson(Resumed.Report, T), RefJson);
     std::remove(checkpointPath(Dir).c_str());
   }
 }
 
-TEST(WindowedAnalysisTest, MemoryPressureLadderShedsToTheWindow) {
-  // The auto ladder must engage only when nothing was requested: pin
-  // the environment for the duration (the windowed CI leg exports
+TEST(WindowedAnalysisTest, MemoryPressureDowngradesOnlyTheOracle) {
+  // The memory ladder is oracle-only: a squeezed run downgrades the
+  // reachability oracle and still streams at the requested (or
+  // default) cadence -- no detector switch, not a byte of difference.
+  // Pin the environment for the duration (the windowed CI leg exports
   // CAFA_WINDOW for the whole suite).
   char *SavedEnv = std::getenv("CAFA_WINDOW");
   std::string SavedVal = SavedEnv ? SavedEnv : "";
   ::unsetenv("CAFA_WINDOW");
 
   Trace T = buildAppTrace();
-  DetectorOptions Batch;
-  Batch.WindowEvents = DetectorOptions::WindowOff;
-  AnalysisResult Clean = analyzeTrace(T, Batch);
+  std::string RefJson = renderRaceReportJson(referenceReport(T), T);
 
-  // A 1-byte budget downgrades the reachability oracle; the ladder
-  // then sheds the detect phase to the windowed scan as well.
   DetectorOptions Squeezed;
   Squeezed.Hb.MemLimitBytes = 1;
   AnalysisResult R = analyzeTrace(T, Squeezed);
   EXPECT_TRUE(R.Degradation.DowngradedForMemory);
-  EXPECT_TRUE(R.WindowShedByMemory);
-  EXPECT_EQ(R.WindowEventsUsed, 65536u);
+  EXPECT_EQ(R.WindowEventsUsed, DetectorOptions::DefaultWindowEvents);
   EXPECT_GT(R.WindowedDetect.OverlayHighWaterBytes, 0u);
-  // Shedding is a memory decision, never a result decision.
-  EXPECT_EQ(renderRaceReportJson(R.Report, T),
-            renderRaceReportJson(Clean.Report, T));
+  EXPECT_EQ(renderRaceReportJson(R.Report, T), RefJson);
 
-  // An explicit batch pin beats the ladder.
+  // An explicit cadence is kept under pressure as well.
   DetectorOptions Pinned = Squeezed;
   Pinned.WindowEvents = DetectorOptions::WindowOff;
   AnalysisResult P = analyzeTrace(T, Pinned);
-  EXPECT_FALSE(P.WindowShedByMemory);
-  EXPECT_EQ(P.WindowEventsUsed, 0u);
-  EXPECT_EQ(renderRaceReportJson(P.Report, T),
-            renderRaceReportJson(Clean.Report, T));
+  EXPECT_TRUE(P.Degradation.DowngradedForMemory);
+  EXPECT_EQ(P.WindowEventsUsed, DetectorOptions::WindowOff);
+  EXPECT_EQ(renderRaceReportJson(P.Report, T), RefJson);
 
   if (SavedEnv)
     ::setenv("CAFA_WINDOW", SavedVal.c_str(), 1);
@@ -349,13 +373,13 @@ TEST(WindowedAnalysisTest, WindowedFrontierSurvivesSnapshotRoundTrip) {
   Snap.Phase = SnapshotPhase::Detect;
   Snap.Hb.UsedReach = ReachMode::Chain;
   Snap.Hb.Saturated = true;
-  Snap.HasWindowedDetect = true;
-  Snap.WindowedDetect.CursorRecord = 37;
-  Snap.WindowedDetect.PairsDoneAtCursor = 12;
-  Snap.WindowedDetect.FiltersShed = true;
-  Snap.WindowedDetect.Filters.CandidatePairs = 4242;
-  Snap.WindowedDetect.Filters.SameTask = 7;
-  Snap.WindowedDetect.Survivors = {{1, 2, 10, 20, 5, 6, 7, 8, 1},
+  Snap.HasScan = true;
+  Snap.Scan.CursorRecord = 37;
+  Snap.Scan.PairsDoneAtCursor = 12;
+  Snap.Scan.FiltersShed = true;
+  Snap.Scan.Filters.CandidatePairs = 4242;
+  Snap.Scan.Filters.SameTask = 7;
+  Snap.Scan.Survivors = {{1, 2, 10, 20, 5, 6, 7, 8, 1},
                                    {3, 4, 30, 40, 9, 10, 11, 12, 0}};
 
   std::string Dir = freshCheckpointDir("roundtrip");
@@ -364,16 +388,16 @@ TEST(WindowedAnalysisTest, WindowedFrontierSurvivesSnapshotRoundTrip) {
 
   AnalysisSnapshot Back;
   ASSERT_TRUE(loadAnalysisSnapshot(Back, Path).ok());
-  ASSERT_TRUE(Back.HasWindowedDetect);
-  EXPECT_EQ(Back.WindowedDetect.CursorRecord, 37u);
-  EXPECT_EQ(Back.WindowedDetect.PairsDoneAtCursor, 12u);
-  EXPECT_TRUE(Back.WindowedDetect.FiltersShed);
-  EXPECT_EQ(Back.WindowedDetect.Filters.CandidatePairs, 4242u);
-  EXPECT_EQ(Back.WindowedDetect.Filters.SameTask, 7u);
-  ASSERT_EQ(Back.WindowedDetect.Survivors.size(), 2u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[0].FreeRecord, 20u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[0].SameLooper, 1u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[1].FreePc, 12u);
+  ASSERT_TRUE(Back.HasScan);
+  EXPECT_EQ(Back.Scan.CursorRecord, 37u);
+  EXPECT_EQ(Back.Scan.PairsDoneAtCursor, 12u);
+  EXPECT_TRUE(Back.Scan.FiltersShed);
+  EXPECT_EQ(Back.Scan.Filters.CandidatePairs, 4242u);
+  EXPECT_EQ(Back.Scan.Filters.SameTask, 7u);
+  ASSERT_EQ(Back.Scan.Survivors.size(), 2u);
+  EXPECT_EQ(Back.Scan.Survivors[0].FreeRecord, 20u);
+  EXPECT_EQ(Back.Scan.Survivors[0].SameLooper, 1u);
+  EXPECT_EQ(Back.Scan.Survivors[1].FreePc, 12u);
   std::remove(Path.c_str());
 }
 
@@ -454,10 +478,10 @@ TEST(WindowedAnalysisTest, SigkillMidWindowedRunResumesByteIdentical) {
       runAnalyzer({"analyze", TracePath, "--json", "--window=64"}, Scratch);
   ASSERT_FALSE(Ref.Killed);
   ASSERT_TRUE(Ref.ExitCode == 0 || Ref.ExitCode == 1);
-  // The windowed run reports the same races as the batch run.
-  RunResult Batch = runAnalyzer({"analyze", TracePath, "--json"}, Scratch);
-  EXPECT_EQ(Ref.Out, Batch.Out);
-  EXPECT_EQ(Ref.ExitCode, Batch.ExitCode);
+  // The cadence never changes the report.
+  RunResult Default = runAnalyzer({"analyze", TracePath, "--json"}, Scratch);
+  EXPECT_EQ(Ref.Out, Default.Out);
+  EXPECT_EQ(Ref.ExitCode, Default.ExitCode);
 
   for (int Delay : {2, 8, 25}) {
     SCOPED_TRACE("kill after " + std::to_string(Delay) + "ms");
