@@ -12,14 +12,13 @@
 //   $ ./offline_analyzer record zxing /tmp/zxing.trace   # collect
 //   $ ./offline_analyzer analyze /tmp/zxing.trace        # analyze later
 //   $ ./offline_analyzer analyze /tmp/zxing.trace --json # CI-friendly
-//   $ ./offline_analyzer analyze /tmp/zxing.trace --reach=chain
+//   $ ./offline_analyzer analyze /tmp/big.trace --mem-limit=1000000000
 //   $ ./offline_analyzer analyze /tmp/big.trace --window=65536
 //   $ ./offline_analyzer dot /tmp/zxing.trace            # Graphviz digest
 //
-// --reach selects the happens-before reachability oracle (closure /
-// chain / bfs; see the mode decision table in
-// docs/hb-reachability.md for when to pick which).  Unset, the choice
-// also honors the CAFA_REACH environment variable.
+// --reach selects the happens-before reachability oracle: chain (the
+// default) or bfs, the O(N)-memory floor (docs/hb-reachability.md).
+// Unset, the choice also honors the CAFA_REACH environment variable.
 // The detector is one streaming scan (docs/windowed-analysis.md) that
 // retires accesses behind a sweep every --window=<records> records
 // (default 65536; CAFA_WINDOW when unset; --window=off sweeps once, at
@@ -28,8 +27,9 @@
 // stats block (stderr; one JSON line under --json, same fields) reports
 // phase timings -- the scan's counting pre-pass as "extract", the
 // happens-before build down to its oracle build and each fixpoint
-// round's scans and update -- checkpoint saves, the process peak RSS
-// and the scan overlay's high-water mark.
+// round's scans and update -- the oracle that ran and whether its chain
+// clocks committed, checkpoint saves, the process peak RSS and the scan
+// overlay's high-water mark.
 // Damaged dumps are salvaged by default (--strict insists on a pristine
 // file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
 // degradation ladder (docs/robustness.md).
@@ -95,25 +95,30 @@
 using namespace cafa;
 using namespace cafa::apps;
 
-/// The happens-before build's oracle init and per-round phase timings,
-/// as the text stats line ("happens-before rounds: ...") or as the
-/// JSON stats line's fields -- one schema, two renderings.
-static std::string renderHbTimings(const HbTimings &Hb, bool Json) {
+/// The happens-before build's oracle, oracle init and per-round phase
+/// timings, as the text stats line ("happens-before rounds: ...") or as
+/// the JSON stats line's fields -- one schema, two renderings.
+static std::string renderHbTimings(const AnalysisResult &R, bool Json) {
+  const HbTimings &Hb = R.HbTiming;
+  const char *Oracle = reachModeName(R.Degradation.UsedReach);
+  const char *Committed = R.Degradation.ClocksCommitted ? "true" : "false";
   std::string Out =
-      Json ? formatString("\"hb_oracle_init_ms\":%.1f,\"hb_round_ms\":[",
-                          Hb.OracleInitMillis)
-           : formatString("happens-before rounds: oracle init %.1f ms",
-                          Hb.OracleInitMillis);
+      Json ? formatString("\"hb_oracle\":\"%s\",\"hb_clocks_committed\":%s,"
+                          "\"hb_oracle_init_ms\":%.1f,\"hb_round_ms\":[",
+                          Oracle, Committed, Hb.OracleInitMillis)
+           : formatString("happens-before rounds: oracle init %.1f ms "
+                          "(%s, clocks committed %s)",
+                          Hb.OracleInitMillis, Oracle, Committed);
   for (size_t I = 0; I != Hb.Rounds.size(); ++I) {
-    const HbRoundTiming &R = Hb.Rounds[I];
+    const HbRoundTiming &Round = Hb.Rounds[I];
     Out += Json ? formatString("%s{\"atomicity\":%.1f,\"queue\":%.1f,"
                                "\"update\":%.1f}",
-                               I ? "," : "", R.AtomicityMillis,
-                               R.QueueMillis, R.UpdateMillis)
+                               I ? "," : "", Round.AtomicityMillis,
+                               Round.QueueMillis, Round.UpdateMillis)
                 : formatString("; round %zu atomicity %.1f, queue %.1f, "
                                "update %.1f ms",
-                               I + 1, R.AtomicityMillis, R.QueueMillis,
-                               R.UpdateMillis);
+                               I + 1, Round.AtomicityMillis,
+                               Round.QueueMillis, Round.UpdateMillis);
   }
   return Out + (Json ? "]" : "\n");
 }
@@ -124,7 +129,7 @@ static int usage(const char *Prog) {
                "  %s record <app> <trace-file>      collect a trace\n"
                "  %s analyze <trace-file> [--json] [--strict|--salvage]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
-               "     [--reach=closure|chain|bfs]\n"
+               "     [--reach=chain|bfs]\n"
                "     [--window=<records>|--window=off]  detector sweep\n"
                "                                         cadence (65536)\n"
                "     [--mem-limit=<bytes>] [--deadline=<ms>]\n"
@@ -193,8 +198,6 @@ int main(int argc, char **argv) {
         if (End == argv[I] + 19 || *End != '\0' || N == 0)
           return usage(argv[0]);
         ConfirmThreads = static_cast<unsigned>(N);
-      } else if (std::strcmp(argv[I], "--reach=closure") == 0) {
-        Options.Hb.Reach = ReachMode::Closure;
       } else if (std::strcmp(argv[I], "--reach=chain") == 0) {
         Options.Hb.Reach = ReachMode::Chain;
       } else if (std::strcmp(argv[I], "--reach=bfs") == 0) {
@@ -410,7 +413,7 @@ int main(int argc, char **argv) {
                    "(%u fixpoint rounds), detect %.1f ms\n",
                    R.ExtractMillis, R.HbBuildMillis,
                    R.HbStats.FixpointRounds, R.DetectMillis);
-      std::fprintf(stderr, "%s", renderHbTimings(R.HbTiming, false).c_str());
+      std::fprintf(stderr, "%s", renderHbTimings(R, false).c_str());
       std::fprintf(stderr,
                    "checkpoints: %u saved, %llu bytes, %.1f ms\n",
                    R.CheckpointSaves,
@@ -450,7 +453,7 @@ int main(int argc, char **argv) {
                    "\"retained_high_water_bytes\":%zu}}\n",
                    R.ExtractMillis, R.HbBuildMillis, R.DetectMillis,
                    R.HbStats.FixpointRounds,
-                   renderHbTimings(R.HbTiming, true).c_str(),
+                   renderHbTimings(R, true).c_str(),
                    R.CheckpointSaves,
                    static_cast<unsigned long long>(R.CheckpointBytes),
                    R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,

@@ -200,9 +200,11 @@ struct HbIndex::Builder {
     }
   }
 
-  /// Per-round frozen context: the oracle and its inline row array.
+  /// Per-round frozen context: the oracle and its inline row array or
+  /// clock view (at most one is set).
   const Reachability *RoundOracle = nullptr;
   const BitVec *RoundRows = nullptr;
+  const ChainClocks *RoundClocks = nullptr;
 
   /// Proposals and per-rule counters of a scan.  The round accumulates
   /// into one; a queue's uncapped row-major scan writes into a second
@@ -243,24 +245,17 @@ struct HbIndex::Builder {
   /// frontiers.
   std::vector<HbScanCursor> AtomCursor, SendCursor;
 
-  /// Word-parallel atomicity premises, built the first round whose
-  /// oracle exposes closure rows (Q*N/8 bytes, never more than the N^2/8
-  /// rows they filter).  EndMask[Q] holds the end nodes of queue Q's
-  /// events, for queues with at least two events; SingleEntryEnds holds
-  /// the end nodes of events that no cross-task edge enters except at
-  /// their begin node.  EndPos maps an end node in EndMask to its
-  /// event's position in QueueEvents.
-  std::vector<BitVec> EndMask;
+  /// Atomicity premise inputs.  SingleEntryEnds holds the end nodes of
+  /// events that no cross-task edge enters except at their begin node.
+  /// An event is entered mid-body by a cross-task edge into any node but
+  /// its begin: join, wait, listener-perform and IPC-receive nodes.
+  /// Every derived edge targets a begin node, so once base edges (and a
+  /// resume's replayed edges) are in, the single-entry set never
+  /// changes; it is built the first round either premise path needs it.
   BitVec SingleEntryEnds;
-  std::vector<uint32_t> EndPos;
-  bool HaveMasks = false;
+  bool HaveSingleEntry = false;
 
-  /// Builds EndMask, SingleEntryEnds and EndPos.  An event is entered mid-body
-  /// by a cross-task edge into any node but its begin: join, wait,
-  /// listener-perform and IPC-receive nodes.  Every derived edge targets
-  /// a begin node, so once base edges (and a resume's replayed edges)
-  /// are in, the single-entry set never changes.
-  void buildPremiseMasks() {
+  void buildSingleEntryEnds() {
     size_t N = G.numNodes();
     std::vector<uint8_t> MidEntry(T.numTasks(), 0);
     for (uint32_t U = 0; U != N; ++U) {
@@ -271,22 +266,37 @@ struct HbIndex::Builder {
           MidEntry[To.index()] = 1;
       }
     }
-    EndMask.assign(QueueEvents.size(), BitVec());
     SingleEntryEnds.resize(N);
+    for (const std::vector<TaskId> &Events : QueueEvents)
+      for (TaskId Event : Events)
+        if (G.endNode(Event).isValid() && !MidEntry[Event.index()])
+          SingleEntryEnds.set(G.endNode(Event).index());
+    HaveSingleEntry = true;
+  }
+
+  /// Word-parallel premises over closure rows, built the first round
+  /// whose oracle exposes them (Q*N/8 bytes, never more than the N^2/8
+  /// rows they filter).  EndMask[Q] holds the end nodes of queue Q's
+  /// events, for queues with at least two events; EndPos maps an end
+  /// node in EndMask to its event's position in QueueEvents.
+  std::vector<BitVec> EndMask;
+  std::vector<uint32_t> EndPos;
+  bool HaveMasks = false;
+
+  void buildPremiseMasks() {
+    size_t N = G.numNodes();
+    EndMask.assign(QueueEvents.size(), BitVec());
     EndPos.assign(N, 0);
     for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
       if (QueueEvents[Q].size() < 2)
         continue;
       EndMask[Q].resize(N);
       for (size_t Pos = 0; Pos != QueueEvents[Q].size(); ++Pos) {
-        TaskId Event = QueueEvents[Q][Pos];
-        NodeId End = G.endNode(Event);
+        NodeId End = G.endNode(QueueEvents[Q][Pos]);
         if (!End.isValid())
           continue;
         EndMask[Q].set(End.index());
         EndPos[End.index()] = static_cast<uint32_t>(Pos);
-        if (!MidEntry[Event.index()])
-          SingleEntryEnds.set(End.index());
       }
     }
     HaveMasks = true;
@@ -304,11 +314,51 @@ struct HbIndex::Builder {
            ~(RoundRows[EndI.index()].word(W) & SingleEntryEnds.word(W));
   }
 
+  /// Premises over chain clocks: ChainEndsOf[Q][c] holds queue Q's end
+  /// nodes on chain c, all and mid-entry only, as (position in the
+  /// chain, position in the queue) sorted by chain position.  By the
+  /// prefix property u reaches chain c's ends from Clock[u][c] on, so a
+  /// row's candidates are two range walks per chain (see atomRows).
+  /// Rebuilt whenever the clocks commit over a new cover.
+  struct ChainEnd {
+    uint32_t Pos, J;
+    bool operator<(const ChainEnd &O) const { return Pos < O.Pos; }
+  };
+  struct ChainEnds {
+    std::vector<ChainEnd> All, MidEntry;
+  };
+  std::vector<std::vector<ChainEnds>> ChainEndsOf;
+  uint32_t ChainEndsEpoch = 0;
+
+  void buildChainEnds() {
+    const ChainClocks &C = *RoundClocks;
+    ChainEndsOf.assign(QueueEvents.size(), {});
+    for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
+      if (QueueEvents[Q].size() < 2)
+        continue;
+      ChainEndsOf[Q].resize(C.Chains);
+      for (uint32_t J = 0; J != QueueEvents[Q].size(); ++J)
+        if (NodeId End = G.endNode(QueueEvents[Q][J]); End.isValid()) {
+          ChainEnds &On = ChainEndsOf[Q][C.ChainOf[End.index()]];
+          On.All.push_back({C.PosInChain[End.index()], J});
+          if (!SingleEntryEnds.test(End.index()))
+            On.MidEntry.push_back(On.All.back());
+        }
+      for (ChainEnds &On : ChainEndsOf[Q]) {
+        std::sort(On.All.begin(), On.All.end());
+        std::sort(On.MidEntry.begin(), On.MidEntry.end());
+      }
+    }
+    ChainEndsEpoch = C.Epoch;
+  }
+
   bool reaches(NodeId From, NodeId To) const {
-    // Pair scans issue millions of queries per round; closure-backed
-    // oracles expose their rows so the hot path is an inline bit test.
-    return RoundRows ? RoundRows[From.index()].test(To.index())
-                     : RoundOracle->reaches(From, To);
+    // Pair scans issue millions of queries per round; oracles expose
+    // their rows or clocks so the hot path is an inline test.
+    if (RoundRows)
+      return RoundRows[From.index()].test(To.index());
+    return RoundClocks ? RoundClocks->reaches(From, To)
+                       : RoundOracle->reaches(From, To);
   }
 
   void propose(ScanOut &Out, NodeId From, NodeId To,
@@ -427,8 +477,10 @@ struct HbIndex::Builder {
   /// Row-major, uncapped scan of one atomicity queue's pairs at gap >= 2
   /// into \p Out.  Gives up (false) once \p Out holds \p Limit
   /// proposals.  With closure rows, row I's premises are answered a
-  /// word at a time (atomCandidates) and only surviving bits reach the
-  /// per-pair filters; row-less oracles walk the pairs.
+  /// word at a time (atomCandidates); with chain clocks, as position
+  /// ranges per chain.  Either way the candidate set is the same and
+  /// only it reaches the per-pair filters; an oracle with neither walks
+  /// the pairs.
   bool atomRows(size_t Qi, ScanOut &Out, size_t Limit) {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
     const size_t K = Events.size();
@@ -452,6 +504,31 @@ struct HbIndex::Builder {
             if (J >= I + First)
               propose(Out, EndI, G.beginNode(Events[J]), Out.Atomicity);
           }
+      } else if (RoundClocks) {
+        auto Consider = [&](const ChainEnd &E) {
+          if (E.J >= I + First)
+            propose(Out, EndI, G.beginNode(Events[E.J]), Out.Atomicity);
+        };
+        const std::vector<ChainEnds> &ByChain = ChainEndsOf[Qi];
+        for (uint32_t C = 0; C != ByChain.size(); ++C) {
+          // begin(eI) reaches chain C's ends from Lo on, end(eI) from Hi
+          // on.  Ends in [Lo, Hi) are candidates; at or past Hi the
+          // conclusion is implied for single-entry ends, so only
+          // mid-entry ends remain -- the closure filter, range by range.
+          const ChainEnds &On = ByChain[C];
+          if (On.All.empty())
+            continue;
+          uint32_t Lo = RoundClocks->clock(BeginI, C);
+          uint32_t Hi = std::max(Lo, RoundClocks->clock(EndI, C));
+          for (auto It = std::lower_bound(On.All.begin(), On.All.end(),
+                                          ChainEnd{Lo, 0});
+               It != On.All.end() && It->Pos < Hi; ++It)
+            Consider(*It);
+          for (auto It = std::lower_bound(On.MidEntry.begin(),
+                                          On.MidEntry.end(), ChainEnd{Hi, 0});
+               It != On.MidEntry.end(); ++It)
+            Consider(*It);
+        }
       } else {
         for (size_t J = I + First; J < K; ++J) {
           NodeId EndJ = G.endNode(Events[J]);
@@ -593,13 +670,13 @@ struct HbIndex::Builder {
   /// implied by the covered links, so proposing it would either be
   /// rejected or insert a redundant edge.
   ///
-  /// Every round rescans every queue in full.  With closure rows the
-  /// atomicity premises are answered a 64-bit word at a time (atomRows),
-  /// so a full rescan costs about what tracking which facts changed
-  /// since the last round would.  The only skips are of pairs that
-  /// provably propose nothing new, so the fixpoint -- and therefore
-  /// every report -- is identical across oracles; only time and memory
-  /// differ.  \p Time receives the round's scan timings and the
+  /// Every round rescans every queue in full.  With closure rows or
+  /// chain clocks the atomicity premises are answered a 64-bit word or
+  /// a chain range at a time (atomRows), so a full rescan costs about
+  /// what tracking which facts changed since the last round would.  The
+  /// only skips are of pairs that provably propose nothing new, so the
+  /// fixpoint -- and therefore every report -- is identical across
+  /// oracles; only time and memory differ.  \p Time receives the round's scan timings and the
   /// graph-insertion share of its update.
   ///
   /// \returns the edges added this round (already inserted into the
@@ -614,8 +691,15 @@ struct HbIndex::Builder {
 
     RoundOracle = &Oracle;
     RoundRows = Oracle.rowsOrNull();
-    if (RoundRows && !HaveMasks && Opt.EnableAtomicityRule)
-      buildPremiseMasks();
+    RoundClocks = RoundRows ? nullptr : Oracle.clocksOrNull();
+    if (Opt.EnableAtomicityRule && (RoundRows || RoundClocks)) {
+      if (!HaveSingleEntry)
+        buildSingleEntryEnds();
+      if (RoundRows && !HaveMasks)
+        buildPremiseMasks();
+      if (RoundClocks && ChainEndsEpoch != RoundClocks->Epoch)
+        buildChainEnds();
+    }
     if (Opt.EnableAtomicityRule && AtomCursor.size() != QueueEvents.size())
       AtomCursor.assign(QueueEvents.size(), {});
     if (Opt.EnableQueueRules && SendCursor.size() != QueueSends.size())
@@ -707,35 +791,21 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   }
   auto TBase = Now();
 
-  // Memory rung of the degradation ladder: build under a byte budget
-  // that counts real allocations, stepping to the next-cheaper oracle
-  // whenever the measured footprint overruns MemLimitBytes.  All
-  // oracles answer reachability queries identically, so a downgrade
-  // changes build time and memory but keeps every downstream report
-  // bit-identical.  BFS keeps no precomputed state and is the
-  // always-accepted floor.  A resume builds its oracle the same way,
-  // over the replayed graph.
-  ReachMode Mode = resolveReachMode(Options.Reach);
-  Degrade.RequestedReach = Mode;
-  // N rows of ceil(N/64) words: a strict lower bound on what the closure
-  // rung's budgeted build counts, so a budget below it cannot fit and
-  // the rung is stepped past without allocating a probe.
-  size_t N = Graph->numNodes();
-  size_t RowFloorBytes = N * ((N + 63) / 64) * 8;
-  for (;;) {
-    bool CannotFit = Mode == ReachMode::Closure && Options.MemLimitBytes &&
-                     RowFloorBytes > Options.MemLimitBytes;
-    if (!CannotFit) {
-      ++Degrade.ProbedRungs;
-      Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes);
-      if (!Reach->budgetExceeded() || Mode == ReachMode::Bfs)
-        break;
-    }
-    Mode = Mode == ReachMode::Closure ? ReachMode::Chain : ReachMode::Bfs;
+  // Memory rung of the degradation ladder: build the requested oracle
+  // under a byte budget that counts real allocations; if even that
+  // overruns MemLimitBytes, fall to BFS, which keeps no precomputed
+  // state and is the always-accepted floor.  All oracles answer
+  // reachability queries identically, so a downgrade changes build time
+  // and memory but keeps every downstream report bit-identical.  A
+  // resume builds its oracle the same way, over the replayed graph.
+  Degrade.RequestedReach = resolveReachMode(Options.Reach);
+  Degrade.UsedReach = Degrade.RequestedReach;
+  Reach = makeReachability(*Graph, Degrade.UsedReach, Options.MemLimitBytes);
+  if (Reach->budgetExceeded()) {
+    Reach = makeReachability(*Graph, ReachMode::Bfs);
+    Degrade.UsedReach = ReachMode::Bfs;
+    Degrade.DowngradedForMemory = true;
   }
-  Degrade.DowngradedForMemory = Mode != Degrade.RequestedReach;
-  Degrade.UsedReach = Mode;
-  Degrade.MeasuredReachBytes = Reach->memoryBytes();
   Timing.OracleInitMillis = Ms(TBase, Now());
 
   // Syncs everything but the edges (which accumulate live) into Kept so
@@ -823,6 +893,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // so re-measure: degradation() reports the kept oracle's final shape.
   Degrade.MeasuredReachBytes = Reach->memoryBytes();
   Degrade.ChainCount = Reach->chainCount();
+  Degrade.ClocksCommitted = Reach->clocksOrNull() != nullptr;
   SyncKept();
 }
 

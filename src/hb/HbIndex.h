@@ -59,10 +59,10 @@ enum class OrderingModel : uint8_t {
 struct HbOptions {
   OrderingModel Model = OrderingModel::Cafa;
   /// Reachability oracle request.  Auto resolves through the CAFA_REACH
-  /// environment variable (request > env > Closure, mirroring the
-  /// thread knobs' 0 = auto convention; see resolveReachMode).  Tests
-  /// that assert mode-specific ladder behavior pin an explicit mode so
-  /// the env-forced CI legs cannot skew them.
+  /// environment variable (request > env > Chain, mirroring the thread
+  /// knobs' 0 = auto convention; see resolveReachMode).  Tests that
+  /// assert mode-specific ladder behavior pin an explicit mode so an
+  /// env-forced run cannot skew them.
   ReachMode Reach = ReachMode::Auto;
   bool EnableAtomicityRule = true;
   bool EnableQueueRules = true;
@@ -72,12 +72,13 @@ struct HbOptions {
   /// HbIndex.cpp::applyDerivedRules), so long send chains legitimately
   /// take several rounds; the cap guards against bugs, not inputs.
   uint32_t MaxFixpointRounds = 64;
-  /// Graceful degradation, memory rung: when nonzero, the reachability
-  /// oracle is stepped down the ladder Closure -> Chain -> Bfs until a
-  /// budgeted build's measured footprint fits under this many bytes
-  /// (see makeReachability's BudgetBytes).
-  /// The oracles answer queries identically, so stepping down changes
-  /// build time and memory but never the resulting reports.  0 = off.
+  /// Graceful degradation, memory rung: when nonzero, the requested
+  /// oracle is built under this many bytes (see makeReachability's
+  /// BudgetBytes); the chain oracle then skips its bootstrap rows or
+  /// its clocks as needed, and if even its linear structures overrun,
+  /// the build falls to the Bfs floor.  The oracles answer queries
+  /// identically, so this changes build time and memory but never the
+  /// resulting reports.  0 = off.
   size_t MemLimitBytes = 0;
   /// Graceful degradation, time rung: when positive, the derived-rule
   /// fixpoint stops starting new rounds once this much wall time (ms)
@@ -92,24 +93,21 @@ struct HbOptions {
 /// HbIndex (see HbOptions::MemLimitBytes / DeadlineMillis).
 struct HbDegradation {
   /// The oracle the caller asked for.
-  ReachMode RequestedReach = ReachMode::Closure;
+  ReachMode RequestedReach = ReachMode::Chain;
   /// The oracle actually built (== RequestedReach unless downgraded).
-  ReachMode UsedReach = ReachMode::Closure;
-  /// UsedReach was stepped down the ladder to fit MemLimitBytes.
+  ReachMode UsedReach = ReachMode::Chain;
+  /// UsedReach fell to the Bfs floor to fit MemLimitBytes.
   bool DowngradedForMemory = false;
+  /// The chain oracle's clocks were live when the fixpoint ended.  A
+  /// chain run that never commits answered every query from bootstrap
+  /// rows or a pruned search, which explains a slow build.
+  bool ClocksCommitted = false;
   /// DeadlineMillis expired before the fixpoint converged; the relation
   /// under-approximates and reports derived from it are partial.
   bool DeadlineExceeded = false;
-  /// Measured footprint of the oracle actually kept, in bytes.  The
-  /// ladder steps rungs from budgeted builds that count real
-  /// allocations (see makeReachability's BudgetBytes), so this is the
-  /// number MemLimitBytes was actually compared against -- not the
-  /// estimateReachabilityMemory() over-approximation.
+  /// Measured footprint of the oracle actually kept, in bytes, after
+  /// the fixpoint.
   size_t MeasuredReachBytes = 0;
-  /// Oracle builds the memory rung started, the kept one included.  A
-  /// closure rung whose row matrix alone cannot fit MemLimitBytes is
-  /// stepped past without a build and is not counted.
-  uint32_t ProbedRungs = 0;
   /// Chains in the oracle's final decomposition (0 unless UsedReach is
   /// Chain).  Informational, for the scaling benches' chain statistics.
   size_t ChainCount = 0;
@@ -189,7 +187,7 @@ struct HbFrontier {
   /// rebuilds its own oracle from the replayed edges, under whatever
   /// mode it was asked for.  Snapshots taken before the closure modes
   /// merged may record the reserved Incremental.
-  ReachMode UsedReach = ReachMode::Closure;
+  ReachMode UsedReach = ReachMode::Chain;
   /// Fixpoint rounds completed at the freeze point.
   uint32_t RoundsDone = 0;
   /// The fixpoint converged; a resume can skip rule evaluation entirely.

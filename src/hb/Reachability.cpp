@@ -17,43 +17,19 @@
 
 using namespace cafa;
 
-bool ClosureReachability::allocateRows() {
-  size_t N = G.numNodes();
-  if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
-    return !Exceeded;
-  // Budget-tracked allocation: the sweep's dirty flags (a fixpoint run
-  // allocates them anyway) and then each row are counted as they are
-  // committed, and the build aborts past the budget (0 = unlimited),
-  // releasing everything so a failed probe leaves no high-water mark
-  // behind.
-  Dirty.assign(N, 0);
-  size_t Used = Dirty.capacity();
-  Rows.resize(N);
-  for (BitVec &Row : Rows) {
-    Row.resize(N);
-    Used += Row.memoryBytes();
-    if (Budget && Used > Budget) {
-      Rows.clear();
-      Rows.shrink_to_fit();
-      Dirty.clear();
-      Dirty.shrink_to_fit();
-      Exceeded = true;
-      return false;
-    }
-  }
-  return true;
-}
-
 void ClosureReachability::refresh() {
-  if (!allocateRows())
-    return; // budget exceeded: the ladder discards this oracle
+  size_t N = G.numNodes();
+  Dirty.assign(N, 0);
+  Rows.resize(N);
   // Node ids ascend in trace-record order and every edge points forward,
   // so descending node id is a reverse topological order: successors'
   // rows are final when a node is processed.  A row holds only bits
   // above its own node, so each union can start at the successor's word.
-  for (BitVec &Row : Rows)
+  for (BitVec &Row : Rows) {
+    Row.resize(N);
     Row.clear();
-  for (size_t I = G.numNodes(); I-- > 0;) {
+  }
+  for (size_t I = N; I-- > 0;) {
     BitVec &Row = Rows[I];
     for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I)))) {
       Row.set(S);
@@ -239,27 +215,11 @@ ChainReachability::ChainReachability(const HbGraph &G, size_t BudgetBytes)
   refresh();
 }
 
-void ChainReachability::decompose() {
-  ChainCover Cover;
-  Cover.ChainOf = std::move(ChainOf);
-  Cover.PosInChain = std::move(PosInChain);
-  Cover.ChainNodes = std::move(ChainNodes);
-  greedyChainCover(G, Cover);
-  ChainOf = std::move(Cover.ChainOf);
-  PosInChain = std::move(Cover.PosInChain);
-  ChainNodes = std::move(Cover.ChainNodes);
-  NumChains = static_cast<uint32_t>(ChainNodes.size());
-}
-
 void ChainReachability::maybeBootstrap() {
   // The bootstrap is a speed device, never a memory commitment the
-  // caller did not sign off on: engage it only when the embedded
-  // closure's (deliberately pessimistic) estimate fits both the
-  // structural cap and whatever byte budget the ladder probe imposed.
-  size_t Allowance =
-      Budget && Budget < MaxBootstrapBytes ? Budget : MaxBootstrapBytes;
-  if (estimateReachabilityMemory(G.numNodes(), ReachMode::Closure) >
-      Allowance) {
+  // caller did not sign off on: under a byte budget it is engaged only
+  // when the embedded closure's rows fit it.
+  if (Budget && rowBytes(G.numNodes()) > Budget) {
     Boot.reset();
     return;
   }
@@ -270,30 +230,36 @@ void ChainReachability::maybeBootstrap() {
 }
 
 size_t ChainReachability::baseBytes() const {
-  size_t Total = ChainOf.capacity() * 4 + PosInChain.capacity() * 4 +
-                 Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge) +
-                 ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
+  size_t Total = Cover.ChainOf.capacity() * 4 +
+                 Cover.PosInChain.capacity() * 4 + Dirty.capacity() +
+                 SortedBatch.capacity() * sizeof(HbEdge) +
+                 Cover.ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
                  Search.memoryBytes();
-  for (const std::vector<uint32_t> &CN : ChainNodes)
+  for (const std::vector<uint32_t> &CN : Cover.ChainNodes)
     Total += CN.capacity() * 4;
   return Total;
 }
 
-bool ChainReachability::buildClocks() {
-  ClocksValid = false;
-  Clocks.clear();
-  Clocks.shrink_to_fit();
+bool ChainReachability::clocksFit() const {
   // Two gates keep the matrix near-linear: the structural cap (a wide
   // cover means the fixpoint has not yet serialized the queues -- clocks
-  // now would be quadratic-shaped), and the byte budget (the ladder's
-  // measured probe).  Failing either is not an error: the search phase
-  // answers every query correctly in O(N), and a later round re-tries.
-  if (NumChains > MaxChainsForClocks)
-    return false;
+  // now would be quadratic-shaped), and the byte budget.  Failing
+  // either is not an error: the search phase answers every query
+  // correctly, and a later round re-tries.
+  return Cover.numChains() <= MaxChainsForClocks &&
+         (!Budget ||
+          baseBytes() + G.numNodes() * size_t(Cover.numChains()) * 4 <=
+              Budget);
+}
+
+void ChainReachability::buildClocks() {
+  // Clocks beat rows: O(1) queries at linear memory.  Free the rows
+  // first so this round peaks at max(rows, clocks).
+  Boot.reset();
   size_t N = G.numNodes();
-  size_t C = NumChains;
-  if (Budget && baseBytes() + N * C * 4 > Budget)
-    return false;
+  size_t C = Cover.numChains();
+  const std::vector<uint32_t> &ChainOf = Cover.ChainOf;
+  const std::vector<uint32_t> &PosInChain = Cover.PosInChain;
   Clocks.assign(N * C, Unset);
   // Same reverse-topological sweep as the closure rebuild, over clock
   // rows instead of bitset rows: node I absorbs, per chain, the minimum
@@ -311,37 +277,32 @@ bool ChainReachability::buildClocks() {
     }
   }
   ClocksValid = true;
-  return true;
+  View = {Clocks.data(), ChainOf.data(), PosInChain.data(),
+          static_cast<uint32_t>(C), View.Epoch + 1};
 }
 
 void ChainReachability::refresh() {
   if (Exceeded)
     return; // the ladder discards this oracle
   size_t N = G.numNodes();
-  decompose();
+  ClocksValid = false;
+  Clocks.clear();
+  Clocks.shrink_to_fit();
+  greedyChainCover(G, Cover);
   Dirty.assign(N, 0);
   if (Budget && baseBytes() > Budget) {
-    // Not even the linear structures fit: unusable, step the ladder.
-    // Release everything so the failed probe leaves no high-water mark.
+    // Not even the linear structures fit: unusable, fall to the floor.
+    // Release everything so the failed build leaves no high-water mark.
     Exceeded = true;
-    ChainOf.clear();
-    ChainOf.shrink_to_fit();
-    PosInChain.clear();
-    PosInChain.shrink_to_fit();
-    ChainNodes.clear();
-    ChainNodes.shrink_to_fit();
+    Cover = ChainCover();
     Dirty.clear();
     Dirty.shrink_to_fit();
-    Clocks.clear();
-    Clocks.shrink_to_fit();
-    NumChains = 0;
-    ClocksValid = false;
     Boot.reset();
     return;
   }
   KnownEdges = G.numEdges();
-  if (buildClocks())
-    Boot.reset(); // clocks beat rows: O(1) queries at linear memory
+  if (clocksFit())
+    buildClocks();
   else
     maybeBootstrap();
 }
@@ -353,14 +314,13 @@ bool ChainReachability::reaches(NodeId From, NodeId To) const {
   // frontier clock for c is <= p.  A node never reaches itself: every
   // reachable node has a larger id, and chain members ascend in id, so
   // Row[chain(From)] > pos(From) always.
-  return Clocks[From.index() * size_t(NumChains) + ChainOf[To.index()]] <=
-         PosInChain[To.index()];
+  return View.reaches(From, To);
 }
 
 void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
   // Same drift protocol as the closure: the graph must hold exactly the
   // edges we know about plus this batch, else rebuild.
-  if (ChainOf.size() != G.numNodes() ||
+  if (Cover.ChainOf.size() != G.numNodes() ||
       KnownEdges + Edges.size() != G.numEdges()) {
     refresh();
     return;
@@ -370,17 +330,16 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
     return;
 
   if (!ClocksValid) {
-    // Search phase.  In the bootstrap tier the embedded closure absorbs
-    // the batch (queries and rows keep flowing through it); in the
-    // frugal tier queries read live edges and the batch needs no
-    // propagation.  Either way this round's real work is re-deriving the
-    // cover and checking whether it collapsed enough to commit the
-    // clocks, which releases the bootstrap rows.
-    if (Boot)
+    // Search phase.  This round's real work is re-deriving the cover and
+    // checking whether it collapsed enough to commit the clocks.  If it
+    // did, the bootstrap rows are freed unread, so the batch is not
+    // folded into them; otherwise the embedded closure absorbs it
+    // (bootstrap tier) or queries keep reading live edges (frugal tier).
+    greedyChainCover(G, Cover);
+    if (clocksFit())
+      buildClocks();
+    else if (Boot)
       Boot->addEdges(Edges);
-    decompose();
-    if (buildClocks())
-      Boot.reset();
     return;
   }
 
@@ -393,7 +352,9 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
             [](const HbEdge &A, const HbEdge &B) { return B.From < A.From; });
   uint32_t MaxFrom = SortedBatch.front().From.value();
   std::fill(Dirty.begin(), Dirty.end(), 0);
-  size_t C = NumChains;
+  size_t C = Cover.numChains();
+  const std::vector<uint32_t> &ChainOf = Cover.ChainOf;
+  const std::vector<uint32_t> &PosInChain = Cover.PosInChain;
 
   // Row[K] = min(Row[K], Src[K]) over every chain; true if any decreased.
   auto absorb = [C](uint32_t *Row, const uint32_t *Src) {
@@ -447,15 +408,13 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
   return resolveRequestEnv<ReachMode>(
       Requested, ReachMode::Auto, "CAFA_REACH",
       [](const char *Env) -> std::optional<ReachMode> {
-        if (std::strcmp(Env, "closure") == 0)
-          return ReachMode::Closure;
         if (std::strcmp(Env, "chain") == 0)
           return ReachMode::Chain;
         if (std::strcmp(Env, "bfs") == 0)
           return ReachMode::Bfs;
         return std::nullopt;
       },
-      [] { return ReachMode::Closure; });
+      [] { return ReachMode::Chain; });
 }
 
 std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
@@ -465,12 +424,12 @@ std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
   case ReachMode::Bfs:
     // No precomputed state: nothing to budget, nothing to sweep.
     return std::make_unique<BfsReachability>(G);
-  case ReachMode::Chain:
-    return std::make_unique<ChainReachability>(G, BudgetBytes);
-  default: // Closure; resolveReachMode never returns Incremental or Auto
+  case ReachMode::Closure:
+    return std::make_unique<ClosureReachability>(G);
+  default: // Chain; resolveReachMode never returns Incremental or Auto
     break;
   }
-  return std::make_unique<ClosureReachability>(G, BudgetBytes);
+  return std::make_unique<ChainReachability>(G, BudgetBytes);
 }
 
 const char *cafa::reachModeName(ReachMode Mode) {
@@ -487,30 +446,4 @@ const char *cafa::reachModeName(ReachMode Mode) {
     return "auto";
   }
   return "unknown";
-}
-
-size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
-  // One closure row is N bits, rounded up to whole 64-bit words.
-  size_t RowBytes = ((NumNodes + 63) / 64) * 8;
-  switch (resolveReachMode(Mode)) {
-  case ReachMode::Chain: {
-    // Linear structures (chain ids, positions, members, dirty flags,
-    // search scratch, container overhead) at ~48 bytes/node, plus the
-    // clock matrix at the largest shape buildClocks() will ever commit:
-    // 4 bytes per (node, chain) with chains capped structurally.  Errs
-    // high -- the measured cover is usually far narrower than the cap.
-    size_t Cap = NumNodes < ChainReachability::MaxChainsForClocks
-                     ? NumNodes
-                     : size_t(ChainReachability::MaxChainsForClocks);
-    return NumNodes * 48 + NumNodes * 4 * Cap;
-  }
-  case ReachMode::Bfs:
-    // Per-task visited-position/version scratch plus the worklist; tasks
-    // never outnumber nodes, so per-node is a safe upper bound.
-    return NumNodes * 12;
-  default: // Closure; resolveReachMode never returns Incremental or Auto
-    break;
-  }
-  // Rows plus the sweep's per-node dirty flags.
-  return NumNodes * RowBytes + NumNodes;
 }

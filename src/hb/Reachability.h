@@ -10,15 +10,16 @@
 /// DAG (Section 4.2: "to test if two operations are ordered, we simply
 /// perform a reachability test on the happens-before graph"):
 ///
-///  - ClosureReachability: transitive closure as one bitset row per node,
-///    built once and then extended by each fixpoint round's new edges
-///    (addEdges).  O(1) queries, O(N^2/8) bytes.  The default.
 ///  - ChainReachability: greedy path cover of the DAG into chains plus
 ///    one min-position clock entry per (node, chain).  O(chains) rows
 ///    instead of O(N) bits per row -- near-linear memory on the "few
 ///    chains, long chains" shape event-driven traces converge to, with
-///    the same O(1) queries once the clocks are live
-///    (docs/chain-reachability.md).
+///    O(1) queries once the clocks are live (docs/chain-reachability.md).
+///    The production oracle.
+///  - ClosureReachability: transitive closure as one bitset row per node,
+///    built once and then extended by each fixpoint round's new edges
+///    (addEdges).  O(1) queries, O(N^2/8) bytes.  The chain oracle's
+///    search-phase bootstrap, and the differential reference.
 ///  - BfsReachability: per-query pruned search, no precomputation.  Slow
 ///    queries, O(N) memory -- the floor of the memory ladder.
 ///
@@ -50,7 +51,8 @@ struct HbEdge {
 /// values never renumber.
 enum class ReachMode : uint8_t {
   /// Bitset transitive closure, extended by each fixpoint round's edges:
-  /// O(1) queries, O(N^2) bits.  The default.
+  /// O(1) queries, O(N^2) bits.  A library-only reference for tests and
+  /// benches; no CLI flag or CAFA_REACH value selects it.
   Closure,
   /// Pruned per-query search: slow queries, linear memory.
   Bfs,
@@ -61,18 +63,19 @@ enum class ReachMode : uint8_t {
   /// Chain decomposition with per-node chain clocks: O(1) queries,
   /// O(N * chains) memory -- near-linear on event-driven traces, where
   /// looper serialization collapses the saturated DAG into few chains.
+  /// The default.
   Chain,
   /// Not an oracle: "no explicit request".  resolveReachMode() turns it
   /// into a concrete mode via the CAFA_REACH environment variable
-  /// (request > env > Closure, mirroring the thread knobs' 0 = auto
+  /// (request > env > Chain, mirroring the thread knobs' 0 = auto
   /// convention).  Never reaches makeReachability() or a checkpoint.
   Auto,
 };
 
 /// Resolves \p Requested against the CAFA_REACH environment knob: an
 /// explicit request wins (the reserved Incremental maps to Closure);
-/// Auto consults CAFA_REACH ("closure", "chain", "bfs"); unset or
-/// unrecognized falls back to Closure, the default oracle.
+/// Auto consults CAFA_REACH ("chain", "bfs"); unset or unrecognized
+/// falls back to Chain, the default oracle.
 ReachMode resolveReachMode(ReachMode Requested);
 
 /// A greedy path cover of the happens-before DAG into chains.  Every
@@ -101,6 +104,26 @@ struct ChainCover {
 /// frontier clocks) so the two provably agree on the decomposition.
 void greedyChainCover(const HbGraph &G, ChainCover &Out);
 
+/// Read-only view of committed chain clocks (see ChainReachability):
+/// Clock[u * Chains + c] is the least position in chain c that u
+/// reaches by a nonempty path (ChainReachability::Unset if none).
+struct ChainClocks {
+  const uint32_t *Clock = nullptr;
+  const uint32_t *ChainOf = nullptr;
+  const uint32_t *PosInChain = nullptr;
+  uint32_t Chains = 0;
+  /// Bumped at every commit, so a reader caching per-cover state can
+  /// tell when the cover under the clocks was re-derived.
+  uint32_t Epoch = 0;
+
+  uint32_t clock(NodeId U, uint32_t C) const {
+    return Clock[U.index() * size_t(Chains) + C];
+  }
+  bool reaches(NodeId From, NodeId To) const {
+    return clock(From, ChainOf[To.index()]) <= PosInChain[To.index()];
+  }
+};
+
 /// Answers "is there a path From -> To" on the current graph edges.
 class Reachability {
 public:
@@ -123,8 +146,14 @@ public:
   /// precomputes one, else nullptr.  The rule engine answers atomicity
   /// premises a 64-bit word at a time straight from these rows and tests
   /// single facts inline instead of making a virtual reaches() call per
-  /// pair; non-closure oracles keep the per-pair virtual path.
+  /// pair.
   virtual const BitVec *rowsOrNull() const { return nullptr; }
+
+  /// Returns the committed chain clocks, else nullptr.  The rule engine
+  /// answers atomicity premises as per-chain position ranges and tests
+  /// single facts inline from them; an oracle with neither rows nor
+  /// clocks keeps the per-pair virtual path.
+  virtual const ChainClocks *clocksOrNull() const { return nullptr; }
 
   /// Approximate memory footprint in bytes (for the ablation bench, and
   /// the *measured* reading the degradation ladder records after a
@@ -133,8 +162,8 @@ public:
 
   /// True when a memory-budgeted build (see makeReachability's
   /// BudgetBytes) gave up before its precomputed state fit the budget.
-  /// The oracle is then unusable and the degradation ladder must step
-  /// down a rung.  Budget-free oracles always return false.
+  /// The oracle is then unusable and the degradation ladder falls to the
+  /// BFS floor.  Budget-free oracles always return false.
   virtual bool budgetExceeded() const { return false; }
 
   /// Chains in the oracle's current decomposition (0 for oracles that
@@ -168,18 +197,11 @@ public:
 ///    lists hold one chain edge plus few cross-task edges and the
 ///    clean-node scan is cheap.
 ///
-/// \p BudgetBytes, when nonzero, turns construction into a *measured*
-/// allocation: rows (and the sweep's dirty flags) are counted as they
-/// are allocated and the build aborts (budgetExceeded()) the moment the
-/// running total passes the budget -- the adaptive-degradation ladder
-/// probes actual footprints instead of trusting
-/// estimateReachabilityMemory().
+/// The closure takes no byte budget: the chain oracle only engages it as
+/// a bootstrap when its rows fit (ChainReachability::rowBytes).
 class ClosureReachability final : public Reachability {
 public:
-  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0)
-      : G(G), Budget(BudgetBytes) {
-    refresh();
-  }
+  explicit ClosureReachability(const HbGraph &G) : G(G) { refresh(); }
 
   bool reaches(NodeId From, NodeId To) const override {
     return Rows[From.index()].test(To.index());
@@ -188,17 +210,10 @@ public:
   void addEdges(std::span<const HbEdge> Edges) override;
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
-  bool budgetExceeded() const override { return Exceeded; }
 
 private:
-  /// Sizes the row matrix and dirty flags under the budget; false (with
-  /// Exceeded set) when they do not fit.  Idempotent once allocated.
-  bool allocateRows();
-
   const HbGraph &G;
   std::vector<BitVec> Rows;
-  size_t Budget = 0;
-  bool Exceeded = false;
   /// Edges reflected in Rows; addEdges falls back to a full refresh()
   /// if the graph drifted from what it was told about.
   size_t KnownEdges = 0;
@@ -261,20 +276,20 @@ private:
 /// updates.
 ///
 /// The search phase itself has two tiers, picked once per build:
-///  - Bootstrap (speed): when a closure row matrix fits within
-///    min(BudgetBytes, MaxBootstrapBytes), the oracle embeds a
+///  - Bootstrap (speed): unless a byte budget is set and the closure
+///    rows (rowBytes()) overrun it, the oracle embeds a
 ///    ClosureReachability and forwards queries and rows to it.  Wide
-///    fixpoint rounds then run at full closure speed; the rows are
-///    released the moment the clocks commit.
+///    fixpoint rounds then run at full closure speed.  The round whose
+///    cover fits frees the rows before allocating the clocks, so that
+///    round peaks at max(rows, clocks), not their sum.
 ///  - Frugal (memory): otherwise queries go through an embedded pruned
-///    search (BfsReachability) in O(N) memory.  This is the tier
-///    million-event graphs land in, and it is why the oracle's
-///    steady-state memory claim survives at that scale.
+///    search (BfsReachability) in O(N) memory.  This is the tier a
+///    budgeted million-event graph lands in.
 ///
-/// High-water memory is therefore min(BudgetBytes, MaxBootstrapBytes)
-/// during a bootstrapped search phase and O(N * chains-at-switch) <=
-/// N * 4 * MaxChainsForClocks bytes after the clocks commit (always,
-/// in the frugal tier).
+/// High-water memory is therefore the closure rows during a
+/// bootstrapped search phase (never more than the budget, when one is
+/// set) and O(N * chains-at-switch) <= N * 4 * MaxChainsForClocks bytes
+/// after the clocks commit.
 class ChainReachability final : public Reachability {
 public:
   /// A cover wider than this keeps the oracle in its search phase: the
@@ -285,17 +300,18 @@ public:
   static constexpr uint32_t MaxChainsForClocks = 128;
   /// Clock value for "reaches nothing in this chain".
   static constexpr uint32_t Unset = 0xFFFFFFFFu;
-  /// Structural cap on the search-phase bootstrap rows: the embedded
-  /// closure is only engaged when its estimated footprint
-  /// fits min(BudgetBytes, MaxBootstrapBytes).  Sized to admit every
-  /// app-scale trace in the repository (<= ~20k nodes) while forcing
-  /// million-event graphs into the frugal O(N) tier.
-  static constexpr size_t MaxBootstrapBytes = 64ull << 20;
 
-  /// BudgetBytes: same contract as ClosureReachability, with one
-  /// refinement: a budget that admits the linear structures but not the
-  /// clock matrix keeps the oracle usable in its search phase instead of
-  /// aborting -- budgetExceeded() fires only when even O(N) does not fit.
+  /// What the bootstrap closure allocates for \p NumNodes nodes: N rows
+  /// of ceil(N/64) words plus the sweep's per-node dirty flags.  A
+  /// nonzero budget below this keeps the search phase frugal.
+  static size_t rowBytes(size_t NumNodes) {
+    return NumNodes * ((NumNodes + 63) / 64) * 8 + NumNodes;
+  }
+
+  /// \p BudgetBytes, when nonzero, bounds what the build may allocate: a
+  /// budget that admits the linear structures but not the clock matrix
+  /// keeps the oracle usable in its search phase instead of aborting --
+  /// budgetExceeded() fires only when even O(N) does not fit.
   explicit ChainReachability(const HbGraph &G, size_t BudgetBytes = 0);
 
   bool reaches(NodeId From, NodeId To) const override;
@@ -309,25 +325,24 @@ public:
   const BitVec *rowsOrNull() const override {
     return Boot ? Boot->rowsOrNull() : nullptr;
   }
-  size_t chainCount() const override { return NumChains; }
-
-  /// True once the clock matrix is live.  Tests assert this so a policy
-  /// regression cannot silently demote the differential suites to the
-  /// search phase.
-  bool clocksActive() const { return ClocksValid; }
+  /// Non-null once the clock matrix is live.  Tests assert this so a
+  /// policy regression cannot silently demote the differential suites to
+  /// the search phase.
+  const ChainClocks *clocksOrNull() const override {
+    return ClocksValid ? &View : nullptr;
+  }
+  size_t chainCount() const override { return Cover.numChains(); }
 
 private:
-  /// Greedy path cover over the graph's current edges; deterministic
-  /// (pure function of the adjacency lists).  Chain members ascend in
-  /// node id.
-  void decompose();
-  /// Engages (or refreshes) the bootstrap closure when its estimated
-  /// footprint fits min(Budget, MaxBootstrapBytes); otherwise releases
-  /// it, leaving the frugal search tier.
+  /// Engages (or refreshes) the bootstrap closure unless the budget
+  /// rules its rows out; otherwise releases it, leaving the frugal
+  /// search tier.
   void maybeBootstrap();
-  /// Commits the N x NumChains clock matrix if the cover and budget
-  /// admit it; otherwise stays in the search phase.  Returns ClocksValid.
-  bool buildClocks();
+  /// True when the cover and budget admit the N x chains clock matrix.
+  bool clocksFit() const;
+  /// Releases the bootstrap and commits the clock matrix over the
+  /// current cover; the caller checked clocksFit().
+  void buildClocks();
   /// Footprint of the always-present linear structures.
   size_t baseBytes() const;
 
@@ -338,13 +353,13 @@ private:
   /// refresh() if the graph drifted (same protocol as the closure).
   size_t KnownEdges = 0;
 
-  uint32_t NumChains = 0;
-  std::vector<uint32_t> ChainOf;    // node -> chain index
-  std::vector<uint32_t> PosInChain; // node -> position within its chain
-  std::vector<std::vector<uint32_t>> ChainNodes; // chain -> members, ascending
+  /// The greedy path cover over the graph's current edges (see
+  /// greedyChainCover).
+  ChainCover Cover;
 
   bool ClocksValid = false;
-  std::vector<uint32_t> Clocks; // row-major, N rows of NumChains entries
+  std::vector<uint32_t> Clocks; // row-major, N rows of one entry per chain
+  ChainClocks View;             // over Clocks and Cover
 
   /// Scratch for the clock sweep (same roles as the closure's).
   std::vector<HbEdge> SortedBatch;
@@ -354,16 +369,16 @@ private:
   /// scratch).
   BfsReachability Search;
   /// Search-phase bootstrap tier: an embedded closure that serves
-  /// queries and rows while the cover is still wide.  Engaged only when it fits min(Budget, MaxBootstrapBytes);
-  /// released the moment the clocks commit.  Invariant: Boot is null
-  /// whenever ClocksValid.
+  /// queries and rows while the cover is still wide.  Invariant: Boot is
+  /// null whenever ClocksValid.
   std::unique_ptr<ClosureReachability> Boot;
 };
 
 /// Creates the oracle selected by \p Mode.  \p BudgetBytes, when
-/// nonzero, bounds what a closure-based oracle may allocate (the build
-/// aborts into budgetExceeded() instead of overshooting); BFS carries no
-/// precomputed state and ignores the budget -- it is the ladder's floor.
+/// nonzero, bounds what the chain oracle may allocate (the build aborts
+/// into budgetExceeded() instead of overshooting); the closure reference
+/// and BFS ignore it -- BFS carries no precomputed state and is the
+/// ladder's floor.
 std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
                                                ReachMode Mode,
                                                size_t BudgetBytes = 0);
@@ -372,28 +387,6 @@ std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
 /// "auto", and "incremental" for the reserved mode), for CLI flags and
 /// degradation diagnostics.
 const char *reachModeName(ReachMode Mode);
-
-/// Upper-bound estimate of what the \p Mode oracle will allocate for a
-/// graph of \p NumNodes nodes, in bytes, *before* building it.  The
-/// graceful-degradation ladder (HbOptions::MemLimitBytes) now steps
-/// rungs from the *measured* footprint of a budgeted build (see
-/// makeReachability's BudgetBytes); this estimate remains the planning
-/// aid for sizing limits up front and errs high, never low.  It is
-/// monotone along the ladder (Bfs < Chain < Closure) from a few
-/// thousand nodes up; below that the chain upper bound
-/// (4 * min(N, MaxChainsForClocks) bytes per node) can exceed the
-/// closure's N^2/8 -- the *measured* ladder is what actually picks
-/// rungs, and a budgeted chain build degrades its clocks before
-/// overrunning, so the crossover never misleads it.  The chain figure
-/// is the *steady-state* footprint: an unbudgeted build may transiently
-/// borrow up to ChainReachability::MaxBootstrapBytes of closure rows
-/// during its search phase (released at the clock switch); under a
-/// nonzero budget the bootstrap is only engaged when it fits the
-/// budget, so a budgeted build never overruns this estimate's caller's
-/// limit.
-/// The closure is dominated by the N x N bit matrix; Bfs keeps only
-/// per-task scratch, bounded above by per-node.
-size_t estimateReachabilityMemory(size_t NumNodes, ReachMode Mode);
 
 } // namespace cafa
 

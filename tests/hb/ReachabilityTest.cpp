@@ -228,9 +228,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReachabilityPropertyTest,
 /// rebuilds.  After every batch both must agree on reaches(u, v) with a
 /// closure freshly built over the grown graph -- exhaustively on small
 /// graphs -- and the BFS on a sample.  Over the same trace, the rule
-/// engine's two premise paths -- closure-row words (Closure) and
-/// per-pair queries (Bfs) -- must derive the same edges in the same
-/// order, with the same counters and scan cursors.
+/// engine's three premise paths -- closure-row words (Closure), chain
+/// clock ranges (Chain) and per-pair queries (Bfs) -- must derive the
+/// same edges in the same order, with the same counters and scan
+/// cursors.
 class IncrementalDifferentialTest : public testing::TestWithParam<uint64_t> {
 };
 
@@ -240,36 +241,46 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   ASSERT_TRUE(validateTrace(T).ok());
   TaskIndex Index(T);
   {
-    HbOptions WordOpt, PairOpt;
+    HbOptions WordOpt, ClockOpt, PairOpt;
     WordOpt.Reach = ReachMode::Closure;
+    ClockOpt.Reach = ReachMode::Chain;
     PairOpt.Reach = ReachMode::Bfs;
     HbIndex Word(T, Index, WordOpt);
+    HbIndex Clock(T, Index, ClockOpt);
     HbIndex Pair(T, Index, PairOpt);
-    const HbFrontier &W = Word.exportFrontier(), &P = Pair.exportFrontier();
-    ASSERT_EQ(W.DerivedEdges.size(), P.DerivedEdges.size()) << "seed " << Seed;
-    for (size_t I = 0; I != W.DerivedEdges.size(); ++I) {
-      ASSERT_EQ(W.DerivedEdges[I].From, P.DerivedEdges[I].From)
-          << "seed " << Seed << " edge " << I;
-      ASSERT_EQ(W.DerivedEdges[I].To, P.DerivedEdges[I].To)
-          << "seed " << Seed << " edge " << I;
-    }
-    const HbRuleStats &SW = Word.ruleStats(), &SP = Pair.ruleStats();
-    EXPECT_EQ(SW.AtomicityEdges, SP.AtomicityEdges) << "seed " << Seed;
-    EXPECT_EQ(SW.QueueRule1Edges, SP.QueueRule1Edges) << "seed " << Seed;
-    EXPECT_EQ(SW.QueueRule2Edges, SP.QueueRule2Edges) << "seed " << Seed;
-    EXPECT_EQ(SW.QueueRule3Edges, SP.QueueRule3Edges) << "seed " << Seed;
-    EXPECT_EQ(SW.QueueRule4Edges, SP.QueueRule4Edges) << "seed " << Seed;
-    EXPECT_EQ(SW.FixpointRounds, SP.FixpointRounds) << "seed " << Seed;
-    auto SameCursors = [&](const std::vector<HbScanCursor> &A,
-                           const std::vector<HbScanCursor> &B) {
-      ASSERT_EQ(A.size(), B.size()) << "seed " << Seed;
-      for (size_t I = 0; I != A.size(); ++I) {
-        EXPECT_EQ(A[I].Gap, B[I].Gap) << "seed " << Seed << " queue " << I;
-        EXPECT_EQ(A[I].I, B[I].I) << "seed " << Seed << " queue " << I;
+    // Small random traces saturate into a narrow cover, so the chain
+    // run must end on committed clocks: the clock premise path cannot
+    // silently fall back to rows or per-pair queries.
+    ASSERT_TRUE(Clock.degradation().ClocksCommitted) << "seed " << Seed;
+    const HbFrontier &P = Pair.exportFrontier();
+    for (const HbIndex *Other : {&Word, &Clock}) {
+      const HbFrontier &W = Other->exportFrontier();
+      ASSERT_EQ(W.DerivedEdges.size(), P.DerivedEdges.size())
+          << "seed " << Seed;
+      for (size_t I = 0; I != W.DerivedEdges.size(); ++I) {
+        ASSERT_EQ(W.DerivedEdges[I].From, P.DerivedEdges[I].From)
+            << "seed " << Seed << " edge " << I;
+        ASSERT_EQ(W.DerivedEdges[I].To, P.DerivedEdges[I].To)
+            << "seed " << Seed << " edge " << I;
       }
-    };
-    SameCursors(W.AtomCursors, P.AtomCursors);
-    SameCursors(W.SendCursors, P.SendCursors);
+      const HbRuleStats &SW = Other->ruleStats(), &SP = Pair.ruleStats();
+      EXPECT_EQ(SW.AtomicityEdges, SP.AtomicityEdges) << "seed " << Seed;
+      EXPECT_EQ(SW.QueueRule1Edges, SP.QueueRule1Edges) << "seed " << Seed;
+      EXPECT_EQ(SW.QueueRule2Edges, SP.QueueRule2Edges) << "seed " << Seed;
+      EXPECT_EQ(SW.QueueRule3Edges, SP.QueueRule3Edges) << "seed " << Seed;
+      EXPECT_EQ(SW.QueueRule4Edges, SP.QueueRule4Edges) << "seed " << Seed;
+      EXPECT_EQ(SW.FixpointRounds, SP.FixpointRounds) << "seed " << Seed;
+      auto SameCursors = [&](const std::vector<HbScanCursor> &A,
+                             const std::vector<HbScanCursor> &B) {
+        ASSERT_EQ(A.size(), B.size()) << "seed " << Seed;
+        for (size_t I = 0; I != A.size(); ++I) {
+          EXPECT_EQ(A[I].Gap, B[I].Gap) << "seed " << Seed << " queue " << I;
+          EXPECT_EQ(A[I].I, B[I].I) << "seed " << Seed << " queue " << I;
+        }
+      };
+      SameCursors(W.AtomCursors, P.AtomCursors);
+      SameCursors(W.SendCursors, P.SendCursors);
+    }
   }
   HbGraph G(T, Index); // program-order chains only
 
@@ -281,7 +292,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   // assertion keeps a policy regression from silently demoting every
   // query to the search phase (which would still pass the agreement
   // checks but leave the clock sweep untested).
-  ASSERT_TRUE(Chain.clocksActive()) << "seed " << Seed;
+  ASSERT_TRUE(Chain.clocksOrNull()) << "seed " << Seed;
 
   Rng R(Seed ^ 0x5EED5EEDull);
   uint32_t N = static_cast<uint32_t>(G.numNodes());
@@ -309,7 +320,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
       Closure.refresh(); // interleave full rebuilds with batch sweeps
       Chain.refresh();
     }
-    ASSERT_TRUE(Chain.clocksActive())
+    ASSERT_TRUE(Chain.clocksOrNull())
         << "seed " << Seed << " batch " << Batch;
     const ClosureReachability Fresh(G);
 
@@ -373,7 +384,7 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
 
   ClosureReachability Closure(G);
   ChainReachability Chain(G);
-  ASSERT_TRUE(Chain.clocksActive());
+  ASSERT_TRUE(Chain.clocksOrNull());
   ASSERT_GE(Chain.chainCount(), size_t(NumThreads));
 
   uint32_t N = static_cast<uint32_t>(G.numNodes());
@@ -391,7 +402,7 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
     }
     Closure.addEdges(Edges);
     Chain.addEdges(Edges);
-    ASSERT_TRUE(Chain.clocksActive()) << "batch " << Batch;
+    ASSERT_TRUE(Chain.clocksOrNull()) << "batch " << Batch;
 
     for (uint32_t U = 0; U != N; ++U)
       for (uint32_t V = 0; V != N; ++V)
@@ -405,6 +416,56 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
     for (uint32_t V = 0; V != N; ++V)
       ASSERT_EQ(Fresh.reaches(NodeId(U), NodeId(V)),
                 Closure.reaches(NodeId(U), NodeId(V)))
+          << U << "->" << V;
+}
+
+} // namespace
+
+namespace {
+
+/// Bootstrap handoff: a base graph wider than MaxChainsForClocks starts
+/// the chain oracle on bootstrap closure rows; the batch that collapses
+/// the cover commits the clocks and frees the rows without folding the
+/// batch into them, and the clocks must still match a fresh closure.
+TEST(ChainBootstrapTest, CollapsingBatchHandsRowsOffToClocks) {
+  const uint32_t NumThreads = ChainReachability::MaxChainsForClocks + 40;
+  TraceBuilder TB;
+  std::vector<TaskId> Threads;
+  for (uint32_t I = 0; I != NumThreads; ++I) {
+    Threads.push_back(TB.addThread("t" + std::to_string(I)));
+    TB.begin(Threads.back());
+    TB.read(Threads.back(), I % 8);
+    TB.end(Threads.back());
+  }
+  Trace T = TB.take();
+  ASSERT_TRUE(validateTrace(T).ok());
+  TaskIndex Index(T);
+  HbGraph G(T, Index);
+
+  ChainReachability Chain(G);
+  ASSERT_EQ(Chain.clocksOrNull(), nullptr);
+  ASSERT_NE(Chain.rowsOrNull(), nullptr);
+  size_t RowBytes = Chain.memoryBytes();
+
+  // Serialize the threads: one chain covers the whole graph.
+  std::vector<HbEdge> Edges;
+  for (uint32_t I = 0; I + 1 != NumThreads; ++I) {
+    HbEdge E{G.endNode(Threads[I]), G.beginNode(Threads[I + 1])};
+    ASSERT_TRUE(G.addEdge(E.From, E.To));
+    Edges.push_back(E);
+  }
+  Chain.addEdges(Edges);
+  ASSERT_NE(Chain.clocksOrNull(), nullptr);
+  EXPECT_EQ(Chain.rowsOrNull(), nullptr);
+  EXPECT_EQ(Chain.chainCount(), 1u);
+  EXPECT_LT(Chain.memoryBytes(), RowBytes);
+
+  const ClosureReachability Fresh(G);
+  uint32_t N = static_cast<uint32_t>(G.numNodes());
+  for (uint32_t U = 0; U != N; ++U)
+    for (uint32_t V = 0; V != N; ++V)
+      ASSERT_EQ(Fresh.reaches(NodeId(U), NodeId(V)),
+                Chain.reaches(NodeId(U), NodeId(V)))
           << U << "->" << V;
 }
 

@@ -554,7 +554,7 @@ TEST(CheckpointTest, SnapshotRecordingTheRetiredIncrementalModeResumes) {
   // Snapshots written before the closure oracles merged record the
   // reserved Incremental as the oracle they ran under.  The field is
   // informational: such a v6 snapshot must still be accepted, and the
-  // resume rebuilds the default closure and ends byte-identical.
+  // resume rebuilds the closure reference and ends byte-identical.
   Trace T = buildAppTrace();
   std::string Dir = freshCheckpointDir("incremental");
   std::string Path = checkpointPath(Dir);

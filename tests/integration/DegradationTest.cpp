@@ -5,10 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The graceful-degradation ladder end to end: a memory ceiling steps the
-// reachability oracle down Closure -> Chain -> Bfs with bit-identical
-// reports, and a blown wall-clock deadline produces a
-// partial report flagged with a machine-readable cause.
+// The graceful-degradation ladder end to end: a memory ceiling builds
+// the requested oracle under the budget, falling to the Bfs floor when
+// even that overruns, with bit-identical reports; and a blown
+// wall-clock deadline produces a partial report flagged with a
+// machine-readable cause.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,43 +40,25 @@ Trace buildAppTrace() {
   return runScenario(Model.S, RuntimeOptions());
 }
 
-TEST(DegradationTest, EstimatesAreMonotoneAlongTheLadder) {
-  for (size_t N : {200u, 5000u, 100000u}) {
-    size_t Clo = estimateReachabilityMemory(N, ReachMode::Closure);
-    size_t Bfs = estimateReachabilityMemory(N, ReachMode::Bfs);
-    EXPECT_LT(Bfs, Clo) << N;
-    // The reserved incremental mode is the closure under its old name.
-    EXPECT_EQ(estimateReachabilityMemory(N, ReachMode::Incremental), Clo)
-        << N;
-    // Chain sits between Bfs and Closure only once the quadratic closure
-    // estimate overtakes the O(N * MaxChainsForClocks) clock matrix --
-    // roughly N > 4500.  Below that the ladder's Closure -> Chain step
-    // is still sound: the chain oracle refuses the clock matrix under a
-    // tight budget and serves queries from its linear search phase.
-    size_t Cha = estimateReachabilityMemory(N, ReachMode::Chain);
-    EXPECT_LT(Bfs, Cha) << N;
-    if (N >= 5000)
-      EXPECT_LT(Cha, Clo) << N;
-  }
-}
-
 TEST(DegradationTest, MemoryCeilingFallsBackToBfsBitIdentical) {
   Trace T = buildAppTrace();
 
   // Pin the request: this test asserts which rung the ladder lands on,
-  // so the CAFA_REACH-forced CI legs must not redirect the default.
+  // so an env-forced run must not redirect the default.
   DetectorOptions Pinned;
-  Pinned.Hb.Reach = ReachMode::Closure;
+  Pinned.Hb.Reach = ReachMode::Chain;
   AnalysisResult Full = analyzeTrace(T, Pinned);
-  EXPECT_EQ(Full.Degradation.UsedReach, ReachMode::Closure);
+  EXPECT_EQ(Full.Degradation.UsedReach, ReachMode::Chain);
+  EXPECT_TRUE(Full.Degradation.ClocksCommitted);
   EXPECT_FALSE(Full.Degradation.degraded());
 
   DetectorOptions Tiny = Pinned;
-  Tiny.Hb.MemLimitBytes = 1; // nothing closure-shaped fits
+  Tiny.Hb.MemLimitBytes = 1; // not even the chain's linear state fits
   AnalysisResult Lim = analyzeTrace(T, Tiny);
-  EXPECT_EQ(Lim.Degradation.RequestedReach, ReachMode::Closure);
+  EXPECT_EQ(Lim.Degradation.RequestedReach, ReachMode::Chain);
   EXPECT_EQ(Lim.Degradation.UsedReach, ReachMode::Bfs);
   EXPECT_TRUE(Lim.Degradation.DowngradedForMemory);
+  EXPECT_FALSE(Lim.Degradation.ClocksCommitted);
   EXPECT_FALSE(Lim.Degradation.DeadlineExceeded);
   EXPECT_FALSE(Lim.Report.Partial);
 
@@ -88,41 +71,60 @@ TEST(DegradationTest, MemoryCeilingFallsBackToBfsBitIdentical) {
 }
 
 TEST(DegradationTest, MemoryCeilingUsesMiddleRungWhenItFits) {
+  // The ladder has two steps, but the chain oracle has a middle tier of
+  // its own: a budget that cannot hold the bootstrap rows keeps its
+  // search phase frugal instead of stepping down to BFS.  One byte
+  // either side of ChainReachability::rowBytes(N), the rows are lent to
+  // the rule engine or not; both builds stay on Chain, commit their
+  // clocks, and derive the same relation.
   Trace T = buildAppTrace();
   TaskIndex Index(T);
-
-  // Learn the node count from an unconstrained build, then pick a limit
-  // one byte under what the closure's budgeted build counts (its rows
-  // and dirty flags, which the estimate matches exactly): the closure is
-  // probed, overruns, and the ladder stops on the chain rung.
   HbOptions Free;
-  Free.Reach = ReachMode::Closure; // ladder assertions: pin the request
+  Free.Reach = ReachMode::Chain; // ladder assertions: pin the request
   HbIndex Unlimited(T, Index, Free);
   size_t N = Unlimited.graph().numNodes();
-  ASSERT_GT(N, 0u);
+  size_t Rows = ChainReachability::rowBytes(N);
 
-  HbOptions Capped = Free;
-  Capped.MemLimitBytes =
-      estimateReachabilityMemory(N, ReachMode::Closure) - 1;
-  HbIndex Limited(T, Index, Capped);
-  EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain);
-  EXPECT_TRUE(Limited.degradation().DowngradedForMemory);
-  EXPECT_EQ(Limited.degradation().ProbedRungs, 2u);
+  // The base graph is wide: no clocks yet, so the search tier shows.
+  HbOptions BaseOnly = Free;
+  BaseOnly.MaxFixpointRounds = 0;
+  HbIndex Base(T, Index, BaseOnly);
+  {
+    ChainReachability AtRows(Base.graph(), Rows);
+    ASSERT_EQ(AtRows.clocksOrNull(), nullptr) << "base cover too narrow";
+    EXPECT_NE(AtRows.rowsOrNull(), nullptr);
+    ChainReachability UnderRows(Base.graph(), Rows - 1);
+    EXPECT_EQ(UnderRows.rowsOrNull(), nullptr);
+    EXPECT_FALSE(UnderRows.budgetExceeded());
+  }
 
-  // Same relation: spot-check every pair of the first records of a few
-  // tasks through the public query interface.
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions DOpt;
   DOpt.Classify = false;
-  RaceReport A = detectUseFreeRaces(T, Index, Db, Unlimited, DOpt);
-  RaceReport B = detectUseFreeRaces(T, Index, Db, Limited, DOpt);
-  EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
+  std::string Ref = renderRaceReportJson(
+      detectUseFreeRaces(T, Index, Db, Unlimited, DOpt), T);
+  for (size_t Limit : {Rows, Rows - 1}) {
+    HbOptions Capped = Free;
+    Capped.MemLimitBytes = Limit;
+    HbIndex Limited(T, Index, Capped);
+    EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain) << Limit;
+    EXPECT_FALSE(Limited.degradation().DowngradedForMemory) << Limit;
+    EXPECT_TRUE(Limited.degradation().ClocksCommitted) << Limit;
+    EXPECT_EQ(Limited.exportFrontier().DerivedEdges.size(),
+              Unlimited.exportFrontier().DerivedEdges.size())
+        << Limit;
+    EXPECT_EQ(renderRaceReportJson(
+                  detectUseFreeRaces(T, Index, Db, Limited, DOpt), T),
+              Ref)
+        << Limit;
+  }
 }
 
 TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   // A trace big enough that the chain oracle's measured footprint sits
-  // well below the closure bitset: a budget between the two makes the
-  // ladder step Closure -> Chain and stop there.
+  // well below the closure bitset: a budget between the two keeps the
+  // chain request on Chain -- no bootstrap rows, committed clocks, the
+  // same report -- where the closure reference could never fit.
   apps::AppBuilder App("degrade-chain");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
@@ -140,72 +142,23 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   CloOpt.Reach = ReachMode::Closure;
   HbIndex CloIdx(T, Index, CloOpt);
   size_t CloBytes = CloIdx.degradation().MeasuredReachBytes;
-  ASSERT_LT(ChainBytes, CloBytes); // the rung is meaningful at this size
+  ASSERT_LT(ChainBytes, CloBytes); // the budget below is meaningful
 
-  HbOptions Capped;
-  Capped.Reach = ReachMode::Closure;
+  HbOptions Capped = ChainOpt;
   Capped.MemLimitBytes = ChainBytes + (CloBytes - ChainBytes) / 2;
   HbIndex Limited(T, Index, Capped);
   EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain);
-  EXPECT_TRUE(Limited.degradation().DowngradedForMemory);
+  EXPECT_FALSE(Limited.degradation().DowngradedForMemory);
+  EXPECT_TRUE(Limited.degradation().ClocksCommitted);
+  EXPECT_LE(Limited.degradation().MeasuredReachBytes, Capped.MemLimitBytes);
 
-  // Downgrading never changes the relation, hence never the report.
+  // The budget never changes the relation, hence never the report.
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions DOpt;
   DOpt.Classify = false;
-  RaceReport A = detectUseFreeRaces(T, Index, Db, ChainIdx, DOpt);
+  RaceReport A = detectUseFreeRaces(T, Index, Db, CloIdx, DOpt);
   RaceReport B = detectUseFreeRaces(T, Index, Db, Limited, DOpt);
   EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
-}
-
-TEST(DegradationTest, ClosureRungsBelowTheRowFloorAreSkippedWithoutAProbe) {
-  // N rows of ceil(N/64) words is a strict lower bound on the closure
-  // rung's measured footprint.  One byte under it, the closure rung is
-  // stepped past without a build and the first probe is Chain's; from
-  // the floor up the rung is still probed.
-  Trace T = buildAppTrace();
-  TaskIndex Index(T);
-  HbOptions Free;
-  Free.Reach = ReachMode::Closure; // ladder assertions: pin the request
-  HbIndex Unlimited(T, Index, Free);
-  size_t N = Unlimited.graph().numNodes();
-  size_t Floor = N * ((N + 63) / 64) * 8;
-  ASSERT_EQ(Floor + N, estimateReachabilityMemory(N, ReachMode::Closure));
-  EXPECT_EQ(Unlimited.degradation().ProbedRungs, 1u);
-
-  HbOptions Under = Free;
-  Under.MemLimitBytes = Floor - 1;
-  HbIndex Skipped(T, Index, Under);
-  EXPECT_EQ(Skipped.degradation().UsedReach, ReachMode::Chain);
-  EXPECT_TRUE(Skipped.degradation().DowngradedForMemory);
-  EXPECT_EQ(Skipped.degradation().ProbedRungs, 1u);
-
-  // At the floor itself the closure is probed and overruns on its
-  // dirty flags; Chain is probed next and fits.
-  HbOptions AtFloor = Free;
-  AtFloor.MemLimitBytes = Floor;
-  HbIndex Probed(T, Index, AtFloor);
-  EXPECT_EQ(Probed.degradation().UsedReach, ReachMode::Chain);
-  EXPECT_EQ(Probed.degradation().ProbedRungs, 2u);
-
-  // Floor plus the flags admits the requested rung on its one probe.
-  HbOptions WithFlags = Free;
-  WithFlags.MemLimitBytes = Floor + N;
-  HbIndex Fits(T, Index, WithFlags);
-  EXPECT_EQ(Fits.degradation().UsedReach, ReachMode::Closure);
-  EXPECT_FALSE(Fits.degradation().DowngradedForMemory);
-  EXPECT_EQ(Fits.degradation().ProbedRungs, 1u);
-
-  // Skipping a rung never changes the relation.
-  AccessDb Db = extractAccesses(T, Index);
-  DetectorOptions DOpt;
-  DOpt.Classify = false;
-  std::string Ref =
-      renderRaceReportJson(detectUseFreeRaces(T, Index, Db, Unlimited, DOpt), T);
-  for (const HbIndex *Idx : {&Skipped, &Probed, &Fits})
-    EXPECT_EQ(
-        renderRaceReportJson(detectUseFreeRaces(T, Index, Db, *Idx, DOpt), T),
-        Ref);
 }
 
 TEST(DegradationTest, BlownHbDeadlineYieldsPartialReport) {
@@ -390,22 +343,21 @@ TEST(DegradationTest, ReachModeResolvesRequestOverEnvOverDefault) {
   // An explicit request always wins over the environment.
   EXPECT_EQ(resolveReachMode(ReachMode::Bfs), ReachMode::Bfs);
   // The reserved incremental mode resolves to the closure that replaced
-  // it, request or not.
+  // it, request or not; the closure stays requestable from the library.
   EXPECT_EQ(resolveReachMode(ReachMode::Incremental), ReachMode::Closure);
+  EXPECT_EQ(resolveReachMode(ReachMode::Closure), ReachMode::Closure);
 
-  setenv("CAFA_REACH", "closure", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
   setenv("CAFA_REACH", "bfs", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Bfs);
 
-  // Unknown values (the retired "incremental" among them) and an unset
-  // variable all fall back to the default.
-  setenv("CAFA_REACH", "incremental", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
-  setenv("CAFA_REACH", "nonsense", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
+  // Unknown values (the retired "closure" and "incremental" among them)
+  // and an unset variable all fall back to the chain default.
+  for (const char *Retired : {"closure", "incremental", "nonsense"}) {
+    setenv("CAFA_REACH", Retired, 1);
+    EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Chain) << Retired;
+  }
   unsetenv("CAFA_REACH");
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
+  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Chain);
 
   if (Had)
     setenv("CAFA_REACH", Saved.c_str(), 1);

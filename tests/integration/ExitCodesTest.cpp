@@ -205,11 +205,13 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   // timings and checkpoint counters.  "extract" is the detector scan's
   // counting pre-pass, never a placeholder 0, and "chains" reports the
   // chain oracle's width when the chain oracle ran -- the scan
-  // frontier's width must not overwrite it.  No per-run note about the
+  // frontier's width must not overwrite it.  Both renderings name the
+  // oracle that ran and whether its chain clocks committed: on an app
+  // trace the default chain oracle commits.  No per-run note about the
   // scan itself: every run streams.
   std::string Dir = Scratch + "/stats";
   ::mkdir(Dir.c_str(), 0755);
-  std::vector<std::string> Args = {"analyze", RacyTrace, "--reach=chain",
+  std::vector<std::string> Args = {"analyze", RacyTrace,
                                    "--checkpoint-dir=" + Dir,
                                    "--checkpoint-every=0.0000001"};
   ExitRun Text = runAnalyzer(Args, Scratch);
@@ -219,6 +221,9 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   EXPECT_GT(std::atof(Text.Err.c_str() + Extract + 18), 0.0) << Text.Err;
   EXPECT_NE(Text.Err.find("checkpoints: "), std::string::npos) << Text.Err;
   EXPECT_EQ(Text.Err.find("windowed scan"), std::string::npos) << Text.Err;
+  EXPECT_NE(Text.Err.find(" ms (chain, clocks committed true)"),
+            std::string::npos)
+      << Text.Err;
 
   Args.push_back("--json");
   ExitRun Json = runAnalyzer(Args, Scratch);
@@ -228,6 +233,10 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
                           "\"checkpoint_ms\":", "\"peak_rss_bytes\":"})
     EXPECT_NE(Json.Err.find(Key), std::string::npos) << Key << Json.Err;
   EXPECT_EQ(Json.Err.find("windowed scan"), std::string::npos) << Json.Err;
+  EXPECT_NE(Json.Err.find("\"hb_oracle\":\"chain\","
+                          "\"hb_clocks_committed\":true,"),
+            std::string::npos)
+      << Json.Err;
   auto Field = [&](const std::string &Key) {
     size_t At = Json.Err.find("\"" + Key + "\":");
     return At == std::string::npos
@@ -302,6 +311,27 @@ TEST_F(ExitCodesTest, FleetRetiredFlagsAreUsageErrors) {
     EXPECT_EQ(R.ExitCode, 2) << Flag;
     EXPECT_NE(R.Err.find("usage:"), std::string::npos) << Flag << R.Err;
   }
+}
+
+TEST_F(ExitCodesTest, AnalyzerRetiredClosureOracleIsAUsageError) {
+  // The closure oracle is a library-only reference: --reach=closure is
+  // an unknown flag (usage, exit 2), and CAFA_REACH=closure is an
+  // unrecognized value that falls back to the chain default.
+  ExitRun R = runAnalyzer({"analyze", RacyTrace, "--reach=closure"}, Scratch);
+  EXPECT_EQ(R.ExitCode, 2) << R.Err;
+  EXPECT_NE(R.Err.find("--reach=chain|bfs"), std::string::npos) << R.Err;
+
+  const char *Old = std::getenv("CAFA_REACH");
+  std::string Saved = Old ? Old : "";
+  ::setenv("CAFA_REACH", "closure", 1);
+  ExitRun Env = runAnalyzer({"analyze", RacyTrace, "--json"}, Scratch);
+  if (Old)
+    ::setenv("CAFA_REACH", Saved.c_str(), 1);
+  else
+    ::unsetenv("CAFA_REACH");
+  EXPECT_EQ(Env.ExitCode, 1) << Env.Err;
+  EXPECT_NE(Env.Err.find("\"hb_oracle\":\"chain\""), std::string::npos)
+      << Env.Err;
 }
 
 TEST_F(ExitCodesTest, ServerUsageAndSetupErrorsExitTwo) {
