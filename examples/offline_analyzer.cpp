@@ -22,14 +22,15 @@
 // The detector is one streaming scan (docs/windowed-analysis.md) that
 // retires accesses behind a sweep every --window=<records> records
 // (default 65536; CAFA_WINDOW when unset; --window=off sweeps once, at
-// the end of the trace).  The cadence only trades resident overlay
-// memory for sweep work: every value renders the same report.  The
-// stats block (stderr; one JSON line under --json, same fields) reports
-// phase timings -- the scan's counting pre-pass as "extract", the
-// happens-before build down to its oracle build and each fixpoint
-// round's scans and update -- the oracle that ran and whether its chain
-// clocks committed, checkpoint saves, the process peak RSS and the scan
-// overlay's high-water mark.
+// the end of the trace).  The cadence only trades resident retained
+// accesses for sweep work: every value renders the same report.  The
+// stats block (stderr; one JSON line under --json, same fields) prints
+// once the report is rendered, ahead of it: stage timings (ingest; the
+// scan's counting pre-pass as "extract"; the happens-before build down
+// to its oracle build and each fixpoint round's scans and update;
+// detect; render; confirm under --confirm), the oracle that ran, whether
+// its chain clocks committed and its chain count, checkpoint saves, the
+// process peak RSS and the scan's retained-access high-water mark.
 // Damaged dumps are salvaged by default (--strict insists on a pristine
 // file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
 // degradation ladder (docs/robustness.md).
@@ -77,6 +78,7 @@
 #include "confirm/Confirm.h"
 #include "hb/DotExport.h"
 #include "support/Format.h"
+#include "support/Timer.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
@@ -284,6 +286,7 @@ int main(int argc, char **argv) {
             DetectorOptions::WindowOff)
       Ingest.MaxInputBytes = Options.Hb.MemLimitBytes;
 
+    Timer IngestClock;
     Trace T;
     IngestReport Ingested;
     IngestSession Session(Ingest);
@@ -317,6 +320,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "invalid trace: %s\n", S.message().c_str());
       return 2;
     }
+    double IngestMillis = IngestClock.elapsedWallMillis();
 
     // Chaos hooks (fleet chaos suite; see the file header).  The hang
     // and allocation land *before* analyzeTrace so --deadline cannot
@@ -399,77 +403,22 @@ int main(int argc, char **argv) {
     if (R.Report.Partial)
       std::fprintf(stderr, "warning: partial analysis (%s)\n",
                    R.Report.PartialCause.c_str());
-    // Peak RSS covers the whole process (trace included); the overlay
-    // high-water is the detector scan's own resident analysis state.
-    struct rusage Usage;
-    ::getrusage(RUSAGE_SELF, &Usage);
-    unsigned long long PeakRssBytes =
-        static_cast<unsigned long long>(Usage.ru_maxrss) * 1024ull;
-    if (!Json) {
-      std::fprintf(stderr, "%s",
-                   renderTraceStats(R.TraceStatistics).c_str());
-      std::fprintf(stderr,
-                   "analysis: extract %.1f ms, happens-before %.1f ms "
-                   "(%u fixpoint rounds), detect %.1f ms\n",
-                   R.ExtractMillis, R.HbBuildMillis,
-                   R.HbStats.FixpointRounds, R.DetectMillis);
-      std::fprintf(stderr, "%s", renderHbTimings(R, false).c_str());
-      std::fprintf(stderr,
-                   "checkpoints: %u saved, %llu bytes, %.1f ms\n",
-                   R.CheckpointSaves,
-                   static_cast<unsigned long long>(R.CheckpointBytes),
-                   R.CheckpointMillis);
-      std::fprintf(stderr,
-                   "memory: peak rss %llu bytes, happens-before %zu bytes",
-                   PeakRssBytes, R.HbMemoryBytes);
-      std::fprintf(stderr,
-                   ", window overlay high-water %zu bytes (%zu "
-                   "reachability rows x %u chains, retained %zu bytes)\n\n",
-                   R.WindowedDetect.OverlayHighWaterBytes,
-                   R.WindowedDetect.ReachHighWaterRows,
-                   R.WindowedDetect.Chains,
-                   R.WindowedDetect.RetainedHighWaterBytes);
-    } else {
-      // One machine-readable stats line on stderr; stdout stays the
-      // report alone so byte-compare harnesses are unaffected.  Same
-      // fields as the text block.  "chains" is the chain oracle's width
-      // when the ladder picked it, else the scan frontier's;
-      // "window_events" is 0 for --window=off.
-      size_t Chains = R.Degradation.UsedReach == ReachMode::Chain
-                          ? R.Degradation.ChainCount
-                          : R.WindowedDetect.Chains;
-      uint64_t WindowEvents =
-          R.WindowEventsUsed == DetectorOptions::WindowOff
-              ? 0
-              : R.WindowEventsUsed;
-      std::fprintf(stderr,
-                   "{\"stats\":{\"extract_ms\":%.1f,\"hb_ms\":%.1f,"
-                   "\"detect_ms\":%.1f,\"rounds\":%u,%s,"
-                   "\"checkpoint_saves\":%u,\"checkpoint_bytes\":%llu,"
-                   "\"checkpoint_ms\":%.1f,\"peak_rss_bytes\":%llu,"
-                   "\"hb_bytes\":%zu,\"window_events\":%llu,"
-                   "\"overlay_high_water_bytes\":%zu,"
-                   "\"reach_high_water_rows\":%zu,\"chains\":%zu,"
-                   "\"retained_high_water_bytes\":%zu}}\n",
-                   R.ExtractMillis, R.HbBuildMillis, R.DetectMillis,
-                   R.HbStats.FixpointRounds,
-                   renderHbTimings(R, true).c_str(),
-                   R.CheckpointSaves,
-                   static_cast<unsigned long long>(R.CheckpointBytes),
-                   R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,
-                   static_cast<unsigned long long>(WindowEvents),
-                   R.WindowedDetect.OverlayHighWaterBytes,
-                   R.WindowedDetect.ReachHighWaterRows, Chains,
-                   R.WindowedDetect.RetainedHighWaterBytes);
-    }
+    // Every stage runs before the stats block, so it can time them all:
+    // ingest, analysis, confirm replays and the report's rendering.
+    // Rendering is the document build plus its text or JSON rendering.
+    Timer RenderClock;
     RaceDocument Doc = buildRaceDocument(R.Report, T);
+    double RenderMillis = RenderClock.elapsedWallMillis();
+    double ConfirmMillis = 0;
     if (Confirm) {
+      Timer ConfirmClock;
       AppModel Model = buildApp(AppName);
       ConfirmOptions COpt;
       COpt.MaxSchedules = ConfirmBound;
       COpt.Threads = ConfirmThreads;
       ConfirmSummary CSum = confirmRaces(Model.S, T, R.Report, COpt);
       applyConfirmVerdicts(CSum, Doc);
+      ConfirmMillis = ConfirmClock.elapsedWallMillis();
       std::fprintf(stderr,
                    "confirm: %u confirmed, %u infeasible, %u unconfirmed "
                    "(%llu replay(s))\n",
@@ -479,8 +428,70 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "confirm #%zu: %s\n", I + 1,
                      CSum.PerRace[I].Detail.c_str());
     }
-    std::printf("%s", Json ? renderRaceReportJson(Doc).c_str()
-                           : renderRaceReportText(Doc).c_str());
+    RenderClock.restart();
+    std::string Rendered =
+        Json ? renderRaceReportJson(Doc) : renderRaceReportText(Doc);
+    RenderMillis += RenderClock.elapsedWallMillis();
+
+    // Peak RSS covers the whole process (trace included); the retained
+    // high-water is the detector scan's own parked accesses.
+    struct rusage Usage;
+    ::getrusage(RUSAGE_SELF, &Usage);
+    unsigned long long PeakRssBytes =
+        static_cast<unsigned long long>(Usage.ru_maxrss) * 1024ull;
+    if (!Json) {
+      std::fprintf(stderr, "%s",
+                   renderTraceStats(R.TraceStatistics).c_str());
+      std::fprintf(stderr,
+                   "analysis: ingest %.1f ms, extract %.1f ms, "
+                   "happens-before %.1f ms (%u fixpoint rounds), detect "
+                   "%.1f ms, render %.1f ms",
+                   IngestMillis, R.ExtractMillis, R.HbBuildMillis,
+                   R.HbStats.FixpointRounds, R.DetectMillis, RenderMillis);
+      if (Confirm)
+        std::fprintf(stderr, ", confirm %.1f ms", ConfirmMillis);
+      std::fprintf(stderr, "\n%s", renderHbTimings(R, false).c_str());
+      std::fprintf(stderr,
+                   "checkpoints: %u saved, %llu bytes, %.1f ms\n",
+                   R.CheckpointSaves,
+                   static_cast<unsigned long long>(R.CheckpointBytes),
+                   R.CheckpointMillis);
+      std::fprintf(stderr,
+                   "memory: peak rss %llu bytes, happens-before %zu bytes "
+                   "(%zu chains), retained accesses high-water %zu "
+                   "bytes\n\n",
+                   PeakRssBytes, R.HbMemoryBytes, R.Degradation.ChainCount,
+                   R.WindowedDetect.RetainedHighWaterBytes);
+    } else {
+      // One machine-readable stats line on stderr; stdout stays the
+      // report alone so byte-compare harnesses are unaffected.  Same
+      // fields as the text block; "window_events" is 0 for --window=off.
+      uint64_t WindowEvents =
+          R.WindowEventsUsed == DetectorOptions::WindowOff
+              ? 0
+              : R.WindowEventsUsed;
+      std::string ConfirmField =
+          Confirm ? formatString("\"confirm_ms\":%.1f,", ConfirmMillis) : "";
+      std::fprintf(stderr,
+                   "{\"stats\":{\"ingest_ms\":%.1f,\"extract_ms\":%.1f,"
+                   "\"hb_ms\":%.1f,\"detect_ms\":%.1f,\"render_ms\":%.1f,"
+                   "%s\"rounds\":%u,%s,"
+                   "\"checkpoint_saves\":%u,\"checkpoint_bytes\":%llu,"
+                   "\"checkpoint_ms\":%.1f,\"peak_rss_bytes\":%llu,"
+                   "\"hb_bytes\":%zu,\"window_events\":%llu,"
+                   "\"chains\":%zu,\"retained_high_water_bytes\":%zu}}\n",
+                   IngestMillis, R.ExtractMillis, R.HbBuildMillis,
+                   R.DetectMillis, RenderMillis, ConfirmField.c_str(),
+                   R.HbStats.FixpointRounds,
+                   renderHbTimings(R, true).c_str(),
+                   R.CheckpointSaves,
+                   static_cast<unsigned long long>(R.CheckpointBytes),
+                   R.CheckpointMillis, PeakRssBytes, R.HbMemoryBytes,
+                   static_cast<unsigned long long>(WindowEvents),
+                   R.Degradation.ChainCount,
+                   R.WindowedDetect.RetainedHighWaterBytes);
+    }
+    std::printf("%s", Rendered.c_str());
     if (R.Report.Partial || !Ingested.clean())
       return 3;
     if (Res.Resumed)

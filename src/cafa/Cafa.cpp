@@ -153,11 +153,9 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
       ScanCk.Resume = &Snap.Scan;
   }
 
-  // The streaming scan (docs/windowed-analysis.md) orders pairs from its
-  // own frontier rows; the primary oracle is dead weight from here on
-  // (the frontier blob, when wanted, was exported above).  Its counting
-  // pre-pass is the extraction phase.
-  Hb.shedOracle();
+  // The streaming scan (docs/windowed-analysis.md) orders pairs through
+  // the oracle that ran the fixpoint.  Its counting pre-pass is the
+  // extraction phase.
   if (Opt.DeadlineMillis > 0)
     Opt.DeadlineMillis = Remaining();
   Result.WindowEventsUsed = scanWindowEvents(Options.WindowEvents);

@@ -208,8 +208,6 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T,
                                     const DetectorOptions &Options) {
   TaskIndex Index(T);
   HbIndex Hb(T, Index, Options.Hb);
-  // The scan orders pairs from its own frontier rows.
-  Hb.shedOracle();
   return detectUseFreeRacesWindowed(T, Index, Hb, Options,
                                     scanWindowEvents(Options.WindowEvents));
 }

@@ -135,16 +135,10 @@ struct WindowedDetectStats {
   /// Wall time of the counting pre-pass (pass A), in milliseconds --
   /// the scan's extraction phase.
   double PrePassMillis = 0;
-  /// Chain count of the frontier reachability rows.
-  uint32_t Chains = 0;
-  /// Peak simultaneously-live reachability rows / their bytes.
-  size_t ReachHighWaterRows = 0;
-  size_t ReachHighWaterBytes = 0;
-  /// Peak bytes of retained (not yet retired) accesses and branches.
+  /// Peak bytes of retained (not yet retired) accesses and branches --
+  /// everything the scan holds beyond the trace and the HB index,
+  /// sampled at every insertion.
   size_t RetainedHighWaterBytes = 0;
-  /// Peak of the combined analysis overlay (rows + retained accesses),
-  /// sampled at every insertion and sweep.
-  size_t OverlayHighWaterBytes = 0;
   /// Extraction tallies.  The scan never materializes an AccessDb, so
   /// analyzeTrace fills its trace stats from these.
   uint64_t NumUses = 0, NumFrees = 0, NumAllocs = 0, NumBranches = 0;
@@ -158,10 +152,11 @@ struct WindowedDetectStats {
 /// can pair with them.  Emits a report byte-identical to the batch
 /// reference detectUseFreeRaces at every cadence -- \p WindowEvents is
 /// only the retirement sweep cadence (WindowOff: one sweep at the end)
-/// -- while never holding the full access tables or a full
-/// reachability closure resident.  \p WindowEvents must be a resolved
-/// cadence, not 0 (see scanWindowEvents).  \p Index is only consulted
-/// for the conventional-model classification pass.
+/// -- while never holding the full access tables resident.  Pairs are
+/// ordered by \p Hb.ordered(), the reference scan's own query, so the
+/// oracle that ran the fixpoint answers them.  \p WindowEvents must be
+/// a resolved cadence, not 0 (see scanWindowEvents).  \p Index is only
+/// consulted for the conventional-model classification pass.
 RaceReport detectUseFreeRacesWindowed(const Trace &T, const TaskIndex &Index,
                                       const HbIndex &Hb,
                                       const DetectorOptions &Options,

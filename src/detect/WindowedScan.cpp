@@ -13,8 +13,7 @@
 //  - Pass A (PrePassSink) counts and indexes without retaining bodies:
 //    use ordinals keyed by read record, per-cell last-use/last-free
 //    records (the retention horizons), per-(task, cell) alloc spans
-//    (all the intra-event-alloc filter ever consults), and the global
-//    query horizon for the frontier reachability rows.
+//    (all the intra-event-alloc filter ever consults).
 //
 //  - Pass B (WindowScanSink) streams accesses in record order.  A pair
 //    (use, free) is evaluated exactly once, at the record of its later
@@ -25,8 +24,9 @@
 //    swept every WindowEvents records (the window is only the sweep
 //    cadence, which is why every window size emits identical reports;
 //    WindowOff never sweeps before the end of the trace).
-//    Happens-before queries go to WindowedReach, whose frontier rows
-//    advance with the same cursor.
+//    Happens-before queries go to the HbIndex, exactly as in the
+//    reference scan's evalPair: the oracle that ran the fixpoint answers
+//    them (O(1) from committed chain clocks).
 //
 // Surviving pairs are tiny ordinal tuples; dedup, dynamic-instance
 // counting, and (b)/(c) classification run once at the end, over the
@@ -39,7 +39,6 @@
 #include "detect/UseFreeDetector.h"
 
 #include "detect/DetectShared.h"
-#include "hb/WindowedReach.h"
 #include "support/Resolve.h"
 #include "support/Timer.h"
 
@@ -105,9 +104,6 @@ public:
   /// (task, cell) -> [first, last] alloc record: everything
   /// allocInTaskBefore/After ever ask.
   std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> AllocSpans;
-  /// Last record that is the later element of any candidate pair
-  /// (over-approximated by the last access record overall).
-  uint32_t QueryHorizon = 0;
   uint64_t NumAllocs = 0;
   uint64_t NumBranches = 0;
 
@@ -121,7 +117,6 @@ public:
     growVar(V);
     LastUseReadByVar[V] = std::max(LastUseReadByVar[V], Use.Record);
     HasUseByVar[V] = 1;
-    QueryHorizon = std::max(QueryHorizon, Use.Record);
   }
 
   void onFree(PtrAccess Free) override {
@@ -130,7 +125,6 @@ public:
     growVar(V);
     LastFreeByVar[V] = std::max(LastFreeByVar[V], Free.Record);
     HasFreeByVar[V] = 1;
-    QueryHorizon = std::max(QueryHorizon, Free.Record);
   }
 
   void onAlloc(PtrAccess Alloc) override {
@@ -216,10 +210,10 @@ struct MinInst {
 class WindowScanSink final : public AccessSink {
 public:
   WindowScanSink(const Trace &T, const DetectorOptions &Options,
-                 const PrePassSink &Pre, WindowedReach &WR,
+                 const PrePassSink &Pre, const HbIndex &Hb,
                  RaceReport &Report, uint64_t Window,
                  ScanCheckpointing *Ckpt)
-      : T(T), Options(Options), Pre(Pre), WR(WR), Report(Report),
+      : T(T), Options(Options), Pre(Pre), Hb(Hb), Report(Report),
         Window(Window), Ckpt(Ckpt),
         CanShed(Options.LocksetFilter || Options.IfGuardFilter) {
     NextSweepRecord = static_cast<uint64_t>(Window);
@@ -235,7 +229,6 @@ public:
   bool FiltersShed = false;
   bool OutOfTime = false;
   size_t RetainedHighWaterBytes = 0;
-  size_t OverlayHighWaterBytes = 0;
 
   // Resume state, seeded by the driver before the scan.
   uint32_t ResumeCursor = 0;
@@ -279,8 +272,6 @@ public:
 
     if (!Pre.hasFree(V))
       return; // the cell is never freed: no pairs, ever
-    if (!OutOfTime)
-      WR.advanceTo(Record);
 
     int8_t Memo = -1;
     auto BIt = Buckets.find(V);
@@ -302,7 +293,7 @@ public:
       B.UseBytes += Bytes;
       RetainedBytes += Bytes;
       B.Uses.push_back(RetUse{std::move(Use), Ord, Memo});
-      noteOverlay();
+      noteRetained();
     }
   }
 
@@ -313,8 +304,6 @@ public:
       CapturedFrees.emplace(Ord, Free);
     if (!Pre.hasUse(V))
       return; // the cell is never used: no pairs, ever
-    if (!OutOfTime)
-      WR.advanceTo(Free.Record);
 
     auto BIt = Buckets.find(V);
     if (BIt != Buckets.end()) {
@@ -333,7 +322,7 @@ public:
       B.FreeBytes += Bytes;
       RetainedBytes += Bytes;
       B.Frees.push_back(RetFree{std::move(Free), Ord});
-      noteOverlay();
+      noteRetained();
     }
   }
 
@@ -349,18 +338,15 @@ public:
     B.BranchBytes += sizeof(GuardBranch);
     RetainedBytes += sizeof(GuardBranch);
     B.BranchesByFrame[Br.Frame].push_back(std::move(Br));
-    noteOverlay();
+    noteRetained();
   }
 
   bool onRecordDone(uint32_t Record) override {
     PairsDoneThisRecord = 0;
     if (static_cast<uint64_t>(Record) >= NextSweepRecord) {
       NextSweepRecord = static_cast<uint64_t>(Record) + Window;
-      if (!OutOfTime) {
-        WR.advanceTo(Record);
+      if (!OutOfTime)
         sweep(Record);
-        noteOverlay();
-      }
     }
     return !OutOfTime;
   }
@@ -431,11 +417,8 @@ private:
     }
   }
 
-  void noteOverlay() {
+  void noteRetained() {
     RetainedHighWaterBytes = std::max(RetainedHighWaterBytes, RetainedBytes);
-    size_t Overlay = RetainedBytes +
-                     WR.liveRows() * WR.numChains() * sizeof(uint32_t);
-    OverlayHighWaterBytes = std::max(OverlayHighWaterBytes, Overlay);
   }
 
   bool isGuarded(const PtrAccess &Use, int8_t &Memo) {
@@ -507,7 +490,7 @@ private:
       ++C.SameTask;
       return;
     }
-    if (WR.orderedCrossTask(Use.Record, Free.Record)) {
+    if (Hb.ordered(Use.Record, Free.Record)) {
       ++C.OrderedByHb;
       return;
     }
@@ -554,7 +537,7 @@ private:
   const Trace &T;
   const DetectorOptions &Options;
   const PrePassSink &Pre;
-  WindowedReach &WR;
+  const HbIndex &Hb;
   RaceReport &Report;
   const uint64_t Window;
   ScanCheckpointing *Ckpt;
@@ -645,8 +628,8 @@ RaceReport cafa::detectUseFreeRacesWindowed(
   flagHbDeadline(Report, Hb.degradation());
   // Whether classification will run: decided at entry, before the
   // deadline ladder can touch the report; the model itself builds on
-  // the first inter-thread race of the commit phase, so the scan runs
-  // with the overlay alone resident.
+  // first inter-thread race of the commit phase, so the scan runs
+  // with the retained accesses and the HB index alone resident.
   std::optional<ConventionalOrder> Conv;
   if (Options.Classify && !Report.Partial)
     Conv.emplace(T, Index, Options.Hb);
@@ -657,8 +640,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
   StreamExtractCounts Counts = streamAccesses(T, Resolver, Pre);
   double PrePassMillis = PrePass.elapsedWallMillis();
 
-  WindowedReach WR(Hb.graph(), Pre.QueryHorizon);
-  WindowScanSink Scan(T, Options, Pre, WR, Report, WindowEvents, Ckpt);
+  WindowScanSink Scan(T, Options, Pre, Hb, Report, WindowEvents, Ckpt);
 
   // Resume: validate the frontier's survivors against the pass-A
   // ordinals; any mismatch silently degrades to a full scan.
@@ -781,11 +763,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
   if (Stats) {
     Stats->WindowEvents = WindowEvents;
     Stats->PrePassMillis = PrePassMillis;
-    Stats->Chains = WR.numChains();
-    Stats->ReachHighWaterRows = WR.highWaterRows();
-    Stats->ReachHighWaterBytes = WR.highWaterRowBytes();
     Stats->RetainedHighWaterBytes = Scan.RetainedHighWaterBytes;
-    Stats->OverlayHighWaterBytes = Scan.OverlayHighWaterBytes;
     Stats->NumUses = Pre.UseRecordByOrd.size();
     Stats->NumFrees = Pre.FreeRecordByOrd.size();
     Stats->NumAllocs = Pre.NumAllocs;

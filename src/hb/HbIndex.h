@@ -257,10 +257,11 @@ public:
   const HbFrontier &exportFrontier() const { return Kept; }
 
   /// Swaps the reachability oracle for the BFS floor, releasing its
-  /// precomputed state (closure rows or chain clocks).  For callers
-  /// that are done with bulk ordering queries -- the windowed detector
-  /// answers them from its own frontier rows -- but keep the index
-  /// alive for the graph and occasional queries.  All oracles answer
+  /// precomputed state (closure rows or chain clocks).  Nothing in the
+  /// analysis calls it -- the detector scan orders its pairs through
+  /// this index's own oracle -- it is kept, with this signature, for
+  /// the benchmark's layered pipeline (perfbench/src/Workloads.cpp),
+  /// which calls it before its streaming scan.  All oracles answer
   /// identically, so happensBefore() stays correct, just slower.
   /// degradation() keeps reporting the build-time provenance.
   void shedOracle();

@@ -97,13 +97,15 @@ size_t ClosureReachability::memoryBytes() const {
   return Total;
 }
 
-BfsReachability::BfsReachability(const HbGraph &G)
-    : G(G), VisitedPos(G.trace().numTasks(), 0),
-      VisitedVersion(G.trace().numTasks(), 0) {}
+BfsReachability::BfsReachability(const HbGraph &G) : G(G) {}
 
 bool BfsReachability::reaches(NodeId From, NodeId To) const {
   if (From == To)
     return false;
+  if (VisitedPos.empty()) {
+    VisitedPos.assign(G.trace().numTasks(), 0);
+    VisitedVersion.assign(G.trace().numTasks(), 0);
+  }
   ++Version;
 
   TaskId ToTask = G.taskOfNode(To);
@@ -173,28 +175,25 @@ size_t BfsReachability::memoryBytes() const {
 // Chain cover
 //===----------------------------------------------------------------------===//
 
-void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
+/// Computes the canonical greedy path cover of \p G into \p Out.
+static void greedyChainCover(const HbGraph &G, ChainCover &Out) {
   size_t N = G.numNodes();
   Out.ChainOf.assign(N, ChainCover::Unassigned);
   Out.PosInChain.assign(N, 0);
-  Out.ChainNodes.clear();
+  Out.NumChains = 0;
   // Greedy path cover: walk ids ascending, start a chain at every
   // unassigned node, extend along the smallest-id unassigned successor.
   // Edges point forward in id order, so every chain's members ascend --
   // which makes a chain's position order its id order, and makes the
-  // walk O(N + E) total.  The cover is a pure function of the adjacency
-  // lists: determinism is what lets the windowed frontier recompute
-  // the very same cover.
+  // walk O(N + E) total.
   for (uint32_t I = 0, E = static_cast<uint32_t>(N); I != E; ++I) {
     if (Out.ChainOf[I] != ChainCover::Unassigned)
       continue;
-    uint32_t C = static_cast<uint32_t>(Out.ChainNodes.size());
-    Out.ChainNodes.emplace_back();
+    uint32_t C = Out.NumChains++;
     uint32_t U = I;
-    for (;;) {
+    for (uint32_t Pos = 0;; ++Pos) {
       Out.ChainOf[U] = C;
-      Out.PosInChain[U] = static_cast<uint32_t>(Out.ChainNodes[C].size());
-      Out.ChainNodes[C].push_back(U);
+      Out.PosInChain[U] = Pos;
       uint32_t NextU = ChainCover::Unassigned;
       for (uint32_t S : G.successors(NodeId(U)))
         if (Out.ChainOf[S] == ChainCover::Unassigned && S < NextU)
@@ -230,14 +229,8 @@ void ChainReachability::maybeBootstrap() {
 }
 
 size_t ChainReachability::baseBytes() const {
-  size_t Total = Cover.ChainOf.capacity() * 4 +
-                 Cover.PosInChain.capacity() * 4 + Dirty.capacity() +
-                 SortedBatch.capacity() * sizeof(HbEdge) +
-                 Cover.ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
-                 Search.memoryBytes();
-  for (const std::vector<uint32_t> &CN : Cover.ChainNodes)
-    Total += CN.capacity() * 4;
-  return Total;
+  return Cover.ChainOf.capacity() * 4 + Cover.PosInChain.capacity() * 4 +
+         Search.memoryBytes();
 }
 
 bool ChainReachability::clocksFit() const {
@@ -284,19 +277,15 @@ void ChainReachability::buildClocks() {
 void ChainReachability::refresh() {
   if (Exceeded)
     return; // the ladder discards this oracle
-  size_t N = G.numNodes();
   ClocksValid = false;
   Clocks.clear();
   Clocks.shrink_to_fit();
   greedyChainCover(G, Cover);
-  Dirty.assign(N, 0);
   if (Budget && baseBytes() > Budget) {
     // Not even the linear structures fit: unusable, fall to the floor.
     // Release everything so the failed build leaves no high-water mark.
     Exceeded = true;
     Cover = ChainCover();
-    Dirty.clear();
-    Dirty.shrink_to_fit();
     Boot.reset();
     return;
   }
@@ -346,12 +335,13 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
   // Incremental clock update: the same descending dirty-row sweep as
   // ClosureReachability::addEdges, with "row grew" now meaning "some
   // chain clock decreased" (a clock entry decreasing is exactly new
-  // nodes becoming reachable).
-  SortedBatch.assign(Edges.begin(), Edges.end());
+  // nodes becoming reachable).  Nodes above the largest batch source
+  // cannot reach a new edge, so the dirty flags span the sweep's prefix.
+  std::vector<HbEdge> SortedBatch(Edges.begin(), Edges.end());
   std::sort(SortedBatch.begin(), SortedBatch.end(),
             [](const HbEdge &A, const HbEdge &B) { return B.From < A.From; });
   uint32_t MaxFrom = SortedBatch.front().From.value();
-  std::fill(Dirty.begin(), Dirty.end(), 0);
+  std::vector<uint8_t> Dirty(size_t(MaxFrom) + 1, 0);
   size_t C = Cover.numChains();
   const std::vector<uint32_t> &ChainOf = Cover.ChainOf;
   const std::vector<uint32_t> &PosInChain = Cover.PosInChain;
@@ -388,7 +378,7 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
     // Re-absorb every successor whose row grew earlier in this sweep;
     // clean successors are already contained by the clock invariant.
     for (uint32_t S : G.successors(NodeId(I)))
-      if (Dirty[S])
+      if (S <= MaxFrom && Dirty[S])
         Changed |= absorb(Row, Clocks.data() + size_t(S) * C);
     Dirty[I] = Changed;
   }

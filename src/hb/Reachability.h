@@ -81,28 +81,21 @@ ReachMode resolveReachMode(ReachMode Requested);
 /// A greedy path cover of the happens-before DAG into chains.  Every
 /// node belongs to exactly one chain; a chain's members ascend in node
 /// id, and consecutive members are connected by graph edges, so earlier
-/// members reach later members (the chain-prefix property both the
-/// ChainReachability clocks and the windowed frontier summaries rely
-/// on).  Produced by greedyChainCover(); a pure function of the
-/// adjacency lists, so it is identical wherever it is recomputed.
+/// members reach later members (the chain-prefix property the
+/// ChainReachability clocks rely on).  ChainReachability computes it
+/// greedily (walk ids ascending, start a chain at every unassigned
+/// node, extend along the smallest-id unassigned successor; O(N + E)),
+/// so it is a pure function of the adjacency lists.  Holds the per-node
+/// arrays and the chain count only.
 struct ChainCover {
   /// Sentinel in ChainOf while the cover is being built; never present
   /// in a finished cover.
   static constexpr uint32_t Unassigned = 0xFFFFFFFFu;
   std::vector<uint32_t> ChainOf;     ///< node id -> chain index
   std::vector<uint32_t> PosInChain;  ///< node id -> position in its chain
-  std::vector<std::vector<uint32_t>> ChainNodes; ///< chain -> node ids
-  uint32_t numChains() const {
-    return static_cast<uint32_t>(ChainNodes.size());
-  }
+  uint32_t NumChains = 0;
+  uint32_t numChains() const { return NumChains; }
 };
-
-/// Computes the canonical greedy path cover of \p G: walk ids
-/// ascending, start a chain at every unassigned node, extend along the
-/// smallest-id unassigned successor.  O(N + E).  Shared by
-/// ChainReachability (forward clocks) and hb/WindowedReach (backward
-/// frontier clocks) so the two provably agree on the decomposition.
-void greedyChainCover(const HbGraph &G, ChainCover &Out);
 
 /// Read-only view of committed chain clocks (see ChainReachability):
 /// Clock[u * Chains + c] is the least position in chain c that u
@@ -237,7 +230,9 @@ public:
 private:
   const HbGraph &G;
   /// Scratch (mutable per query): per-task minimal visited node position,
-  /// versioned to avoid clearing between queries.
+  /// versioned to avoid clearing between queries.  Sized by the first
+  /// query, so an oracle that embeds this search as a fallback pays
+  /// nothing until it is used.
   mutable std::vector<uint32_t> VisitedPos;
   mutable std::vector<uint32_t> VisitedVersion;
   mutable uint32_t Version = 0;
@@ -263,7 +258,9 @@ private:
 /// (the mirror image of the backward formulation clock[v][chain(u)] >=
 /// pos(u) -- forward clocks match the successor-list graph layout and
 /// the descending sweep the closure oracle already uses).  addEdges()
-/// runs that same dirty-row sweep over clock rows.
+/// runs that same dirty-row sweep over clock rows; its sorted batch and
+/// dirty flags are locals of the call, so the oracle holds no fixpoint
+/// scratch between rounds.
 ///
 /// The catch: the clock matrix is N x chains, and a *base* graph is
 /// wide -- pending events are mutually unordered until the queue rules
@@ -354,16 +351,12 @@ private:
   size_t KnownEdges = 0;
 
   /// The greedy path cover over the graph's current edges (see
-  /// greedyChainCover).
+  /// ChainCover).
   ChainCover Cover;
 
   bool ClocksValid = false;
   std::vector<uint32_t> Clocks; // row-major, N rows of one entry per chain
   ChainClocks View;             // over Clocks and Cover
-
-  /// Scratch for the clock sweep (same roles as the closure's).
-  std::vector<HbEdge> SortedBatch;
-  std::vector<uint8_t> Dirty;
 
   /// Search-phase query path, frugal tier (reads live edges, per-query
   /// scratch).

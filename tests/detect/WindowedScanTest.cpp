@@ -21,6 +21,7 @@
 #include "detect/RaceReport.h"
 #include "detect/UseFreeDetector.h"
 #include "hb/HbIndex.h"
+#include "hb/Reachability.h"
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
@@ -78,31 +79,93 @@ Trace buildFilterMixTrace() {
   return TB.take();
 }
 
+// Ordered and unordered pairs on one cell: the parent's uses happen
+// before the forked child's free (fork edge), while a sibling thread's
+// free races them -- so the oracle's answer decides pairs both ways.
+Trace buildForkOrderedTrace() {
+  TraceBuilder TB;
+  MethodId M = TB.addMethod("fork", 256);
+  TaskId Parent = TB.addThread("parent");
+  TaskId Child = TB.addThread("child");
+  TaskId Sibling = TB.addThread("sibling");
+  TB.begin(Parent);
+  TB.begin(Sibling);
+  for (uint32_t I = 0; I != 4; ++I) {
+    TB.ptrRead(Parent, 5, 9, M, I);
+    TB.deref(Parent, 9, DerefKind::Invoke, M, I);
+  }
+  TB.fork(Parent, Child);
+  TB.begin(Child);
+  TB.ptrWrite(Child, 5, 0, M, 100);
+  TB.end(Child);
+  TB.ptrWrite(Sibling, 5, 0, M, 200);
+  TB.end(Sibling);
+  TB.end(Parent);
+  return TB.take();
+}
+
 TEST(WindowedScanTest, EveryWindowSizeRendersTheBatchReport) {
-  for (Trace T : {buildWideScanTrace(), buildFilterMixTrace()}) {
+  // The scan asks the HB index that ran the fixpoint, so it meets every
+  // state that index can end in.  The oracle axis covers each: committed
+  // chain clocks (the default), a chain oracle held in its search phase
+  // by a budget that admits its linear structures but neither the
+  // bootstrap rows nor the clock matrix, and the BFS floor.  The
+  // degradation record is asserted per case so the axis cannot silently
+  // collapse onto one state.
+  struct OracleCase {
+    const char *Name;
+    ReachMode Reach;
+    bool SearchPhaseBudget;
+    ReachMode Used;
+    bool Committed;
+  };
+  const OracleCase Cases[] = {
+      {"chain clocks", ReachMode::Chain, false, ReachMode::Chain, true},
+      {"chain search phase", ReachMode::Chain, true, ReachMode::Chain,
+       false},
+      {"bfs", ReachMode::Bfs, false, ReachMode::Bfs, false},
+  };
+  uint64_t OrderedPairs = 0;
+  for (Trace T : {buildWideScanTrace(), buildFilterMixTrace(),
+                  buildForkOrderedTrace()}) {
     TaskIndex Index(T);
     DetectorOptions Opt;
-    HbIndex Hb(T, Index, Opt.Hb);
+    HbIndex RefHb(T, Index, Opt.Hb);
     AccessDb Db = extractAccesses(T, Index);
-    RaceReport Batch = detectUseFreeRaces(T, Index, Db, Hb, Opt);
+    RaceReport Batch = detectUseFreeRaces(T, Index, Db, RefHb, Opt);
     std::string BatchText = renderRaceReport(Batch, T);
     std::string BatchJson = renderRaceReportJson(Batch, T);
     ASSERT_GT(Batch.Races.size(), 0u);
+    OrderedPairs += Batch.Filters.OrderedByHb;
 
-    for (uint64_t W : {uint64_t(1), uint64_t(64), uint64_t(4096),
-                       uint64_t(1) << 20, DetectorOptions::WindowOff}) {
-      WindowedDetectStats Stats;
-      RaceReport Win =
-          detectUseFreeRacesWindowed(T, Index, Hb, Opt, W, nullptr, &Stats);
-      EXPECT_EQ(renderRaceReport(Win, T), BatchText) << "window " << W;
-      EXPECT_EQ(renderRaceReportJson(Win, T), BatchJson) << "window " << W;
-      EXPECT_EQ(Stats.WindowEvents, W);
-      EXPECT_EQ(Stats.NumUses, Db.Uses.size());
-      EXPECT_EQ(Stats.NumFrees, Db.Frees.size());
-      EXPECT_GT(Stats.Chains, 0u);
-      EXPECT_GT(Stats.OverlayHighWaterBytes, 0u);
+    for (const OracleCase &C : Cases) {
+      HbOptions HbOpt = Opt.Hb;
+      HbOpt.Reach = C.Reach;
+      if (C.SearchPhaseBudget)
+        HbOpt.MemLimitBytes =
+            ChainReachability::rowBytes(RefHb.graph().numNodes()) - 1;
+      HbIndex Hb(T, Index, HbOpt);
+      ASSERT_EQ(Hb.degradation().UsedReach, C.Used) << C.Name;
+      ASSERT_EQ(Hb.degradation().ClocksCommitted, C.Committed) << C.Name;
+      ASSERT_FALSE(Hb.degradation().DowngradedForMemory) << C.Name;
+
+      for (uint64_t W : {uint64_t(1), uint64_t(64), uint64_t(4096),
+                         uint64_t(1) << 20, DetectorOptions::WindowOff}) {
+        WindowedDetectStats Stats;
+        RaceReport Win =
+            detectUseFreeRacesWindowed(T, Index, Hb, Opt, W, nullptr, &Stats);
+        EXPECT_EQ(renderRaceReport(Win, T), BatchText)
+            << C.Name << ", window " << W;
+        EXPECT_EQ(renderRaceReportJson(Win, T), BatchJson)
+            << C.Name << ", window " << W;
+        EXPECT_EQ(Stats.WindowEvents, W);
+        EXPECT_EQ(Stats.NumUses, Db.Uses.size());
+        EXPECT_EQ(Stats.NumFrees, Db.Frees.size());
+        EXPECT_GT(Stats.RetainedHighWaterBytes, 0u);
+      }
     }
   }
+  EXPECT_GT(OrderedPairs, 0u) << "no pair is decided by the oracle";
 }
 
 TEST(WindowedScanTest, CutThenResumeIsBitIdentical) {

@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppKit.h"
+#include "apps/Apps.h"
 #include "cafa/Checkpoint.h"
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
@@ -202,13 +203,14 @@ TEST_F(ExitCodesTest, Exit4ResumeFromCheckpointCompletes) {
 
 TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   // The --json stats line (stderr) carries the text block's phase
-  // timings and checkpoint counters.  "extract" is the detector scan's
-  // counting pre-pass, never a placeholder 0, and "chains" reports the
-  // chain oracle's width when the chain oracle ran -- the scan
-  // frontier's width must not overwrite it.  Both renderings name the
-  // oracle that ran and whether its chain clocks committed: on an app
-  // trace the default chain oracle commits.  No per-run note about the
-  // scan itself: every run streams.
+  // timings and checkpoint counters.  Every stage is timed: "ingest" is
+  // never a placeholder 0, "extract" is the detector scan's counting
+  // pre-pass, and "render" times the report's rendering ("confirm" only
+  // appears under --confirm).  "chains" is the chain oracle's width.
+  // Both renderings name the oracle that ran and whether its chain
+  // clocks committed: on an app trace the default chain oracle commits.
+  // No per-run note about the scan itself: every run streams, and the
+  // scan keeps no reachability rows of its own to report.
   std::string Dir = Scratch + "/stats";
   ::mkdir(Dir.c_str(), 0755);
   std::vector<std::string> Args = {"analyze", RacyTrace,
@@ -216,9 +218,17 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
                                    "--checkpoint-every=0.0000001"};
   ExitRun Text = runAnalyzer(Args, Scratch);
   ASSERT_EQ(Text.ExitCode, 1) << Text.Err;
-  size_t Extract = Text.Err.find("analysis: extract ");
+  size_t Ingest = Text.Err.find("analysis: ingest ");
+  ASSERT_NE(Ingest, std::string::npos) << Text.Err;
+  EXPECT_GT(std::atof(Text.Err.c_str() + Ingest + 17), 0.0) << Text.Err;
+  size_t Extract = Text.Err.find(" ms, extract ", Ingest);
   ASSERT_NE(Extract, std::string::npos) << Text.Err;
-  EXPECT_GT(std::atof(Text.Err.c_str() + Extract + 18), 0.0) << Text.Err;
+  EXPECT_GT(std::atof(Text.Err.c_str() + Extract + 13), 0.0) << Text.Err;
+  EXPECT_NE(Text.Err.find(" ms, render ", Extract), std::string::npos)
+      << Text.Err;
+  EXPECT_EQ(Text.Err.find(", confirm "), std::string::npos) << Text.Err;
+  EXPECT_EQ(Text.Err.find("reachability rows"), std::string::npos)
+      << Text.Err;
   EXPECT_NE(Text.Err.find("checkpoints: "), std::string::npos) << Text.Err;
   EXPECT_EQ(Text.Err.find("windowed scan"), std::string::npos) << Text.Err;
   EXPECT_NE(Text.Err.find(" ms (chain, clocks committed true)"),
@@ -228,10 +238,15 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   Args.push_back("--json");
   ExitRun Json = runAnalyzer(Args, Scratch);
   ASSERT_EQ(Json.ExitCode, 1) << Json.Err;
-  for (const char *Key : {"\"extract_ms\":", "\"hb_ms\":", "\"detect_ms\":",
-                          "\"rounds\":", "\"checkpoint_bytes\":",
-                          "\"checkpoint_ms\":", "\"peak_rss_bytes\":"})
+  for (const char *Key : {"\"ingest_ms\":", "\"extract_ms\":", "\"hb_ms\":",
+                          "\"detect_ms\":", "\"render_ms\":", "\"rounds\":",
+                          "\"checkpoint_bytes\":", "\"checkpoint_ms\":",
+                          "\"peak_rss_bytes\":",
+                          "\"retained_high_water_bytes\":"})
     EXPECT_NE(Json.Err.find(Key), std::string::npos) << Key << Json.Err;
+  for (const char *Gone : {"\"confirm_ms\":", "\"reach_high_water_rows\":",
+                           "\"overlay_high_water_bytes\":"})
+    EXPECT_EQ(Json.Err.find(Gone), std::string::npos) << Gone << Json.Err;
   EXPECT_EQ(Json.Err.find("windowed scan"), std::string::npos) << Json.Err;
   EXPECT_NE(Json.Err.find("\"hb_oracle\":\"chain\","
                           "\"hb_clocks_committed\":true,"),
@@ -243,6 +258,7 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
                ? -1.0
                : std::atof(Json.Err.c_str() + At + Key.size() + 3);
   };
+  EXPECT_GT(Field("ingest_ms"), 0.0) << Json.Err;
   EXPECT_GT(Field("extract_ms"), 0.0) << Json.Err;
   EXPECT_GT(Field("checkpoint_saves"), 0.0) << Json.Err;
 
@@ -254,6 +270,24 @@ TEST_F(ExitCodesTest, StatsLinesShareOneSchema) {
   size_t ChainCount = HbIndex(T, Index, Chain).degradation().ChainCount;
   ASSERT_GT(ChainCount, 0u);
   EXPECT_EQ(Field("chains"), static_cast<double>(ChainCount)) << Json.Err;
+
+  // Under --confirm both renderings add the replays' stage time.
+  std::string AppTrace = Scratch + "/zxing.trace";
+  ASSERT_TRUE(writeTraceFile(
+                  runScenario(apps::buildApp("zxing").S, RuntimeOptions()),
+                  AppTrace)
+                  .ok());
+  std::vector<std::string> ConfirmArgs = {"analyze", AppTrace, "--confirm=1",
+                                          "--app=zxing"};
+  ExitRun ConfirmText = runAnalyzer(ConfirmArgs, Scratch);
+  ASSERT_EQ(ConfirmText.ExitCode, 1) << ConfirmText.Err;
+  EXPECT_NE(ConfirmText.Err.find(" ms, confirm "), std::string::npos)
+      << ConfirmText.Err;
+  ConfirmArgs.push_back("--json");
+  ExitRun ConfirmJson = runAnalyzer(ConfirmArgs, Scratch);
+  ASSERT_EQ(ConfirmJson.ExitCode, 1) << ConfirmJson.Err;
+  EXPECT_NE(ConfirmJson.Err.find("\"confirm_ms\":"), std::string::npos)
+      << ConfirmJson.Err;
 }
 
 TEST_F(ExitCodesTest, StatsLinesCarryPerRoundHbTimings) {

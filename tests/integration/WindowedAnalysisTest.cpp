@@ -350,7 +350,7 @@ TEST(WindowedAnalysisTest, MemoryPressureDowngradesOnlyTheOracle) {
   AnalysisResult R = analyzeTrace(T, Squeezed);
   EXPECT_TRUE(R.Degradation.DowngradedForMemory);
   EXPECT_EQ(R.WindowEventsUsed, DetectorOptions::DefaultWindowEvents);
-  EXPECT_GT(R.WindowedDetect.OverlayHighWaterBytes, 0u);
+  EXPECT_GT(R.WindowedDetect.RetainedHighWaterBytes, 0u);
   EXPECT_EQ(renderRaceReportJson(R.Report, T), RefJson);
 
   // An explicit cadence is kept under pressure as well.
